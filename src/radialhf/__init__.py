@@ -58,12 +58,10 @@ from .kernels import (
 from .operators import (
     EigensolverError,
     FockMatrix,
-    assemble_fock,
-    direct_potential,
-    exchange_matrix,
-    exchange_matrix_from_density,
+    fock_matrix,
     hydrogenic_matrix,
     lowest_eigenpairs,
+    mean_field,
 )
 from .scf import (
     BumpProfile,
@@ -108,17 +106,14 @@ __all__ = [
     "ShellVerdict",
     "TheoremReport",
     "apply_direct_kernel",
-    "assemble_fock",
     "build_coefficient_table",
     "build_kernel_table",
     "corollary_inequalities",
     "coulomb_expectation",
     "decompose_shell",
     "derivative_sq_norm",
-    "direct_potential",
-    "exchange_matrix",
-    "exchange_matrix_from_density",
     "first_order_coefficient",
+    "fock_matrix",
     "hydrogenic_matrix",
     "inner",
     "integrate",
@@ -132,6 +127,7 @@ __all__ = [
     "make_bump",
     "make_default_grid",
     "make_grid",
+    "mean_field",
     "norm",
     "occupy",
     "oracle_u_kernel",

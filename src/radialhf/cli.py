@@ -34,6 +34,7 @@ import numpy as np
 
 from .angular import build_coefficient_table
 from .configuration import ALPHA, BETA, Configuration, ShellSpec
+from .energy import EnergyBreakdown
 from .grid import RadialFunction, RadialGrid, make_grid
 from .kernels import build_kernel_table
 from .scf import (
@@ -44,9 +45,8 @@ from .scf import (
     solve,
     theorem_report,
 )
-from .energy import total_energy
 
-__all__ = ["main", "ConfigError", "load_config", "state_to_document"]
+__all__ = ["main", "ConfigError", "load_config", "load_state", "state_to_document"]
 
 _SPINS = (ALPHA, BETA)
 
@@ -97,19 +97,20 @@ def _parse_shells(raw: Any, model: str) -> tuple[ShellSpec, ...]:
 
 
 def _parse_grid(raw: Any, config: Configuration) -> RadialGrid:
+    default = make_default_grid(config)
     if raw is None:
-        return make_default_grid(config)
+        return default
     _expect(isinstance(raw, dict), "grid", "must be an object")
     _check_keys(raw, "grid", {"kind", "n", "r_max", "gamma"})
     kind = raw.get("kind", "uniform")
     _expect(kind in ("uniform", "exponential"), "grid.kind", "must be 'uniform' or 'exponential'")
-    n = raw.get("n", 2000)
+    n = raw.get("n", default.n)
     _expect(
         isinstance(n, int) and not isinstance(n, bool) and 2 <= n <= 100_000,
         "grid.n",
         "must be an integer in [2, 100000]",
     )
-    r_max = raw.get("r_max", max(12.0, 30.0 / max(config.Z, 1.0)))
+    r_max = raw.get("r_max", default.r_max)
     _expect(_is_number(r_max) and r_max > 0, "grid.r_max", "must be a positive number")
     if kind == "uniform":
         _expect("gamma" not in raw, "grid.gamma", "only applies to exponential grids")
@@ -182,6 +183,29 @@ def _parse_output(raw: Any) -> dict[str, str]:
     return out
 
 
+def _read_json_object(path: Path) -> dict:
+    try:
+        raw = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such file")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})")
+    _expect(isinstance(raw, dict), "(top level)", "must be a JSON object")
+    return raw
+
+
+def _parse_configuration(raw: dict) -> Configuration:
+    _expect("Z" in raw, "Z", "missing required key")
+    _expect(_is_number(raw["Z"]) and raw["Z"] > 0, "Z", "must be a positive number")
+    model = raw.get("model")
+    _expect(model in ("rhf", "uhf"), "model", "must be 'rhf' or 'uhf'")
+    shells = _parse_shells(raw.get("shells"), model)
+    try:
+        return Configuration(Z=float(raw["Z"]), model=model, shells=shells)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def load_config(
     path: str | Path,
 ) -> tuple[Configuration, RadialGrid, ScfOptions, dict[str, str]]:
@@ -192,24 +216,9 @@ def load_config(
     offending field path on any problem; never returns a partially valid
     setup.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})")
-    _expect(isinstance(raw, dict), "(top level)", "must be a JSON object")
+    raw = _read_json_object(Path(path))
     _check_keys(raw, "(top level)", {"Z", "model", "shells", "grid", "scf", "output"})
-    _expect("Z" in raw, "Z", "missing required key")
-    _expect(_is_number(raw["Z"]) and raw["Z"] > 0, "Z", "must be a positive number")
-    model = raw.get("model")
-    _expect(model in ("rhf", "uhf"), "model", "must be 'rhf' or 'uhf'")
-    shells = _parse_shells(raw.get("shells"), model)
-    try:
-        config = Configuration(Z=float(raw["Z"]), model=model, shells=shells)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    config = _parse_configuration(raw)
     grid = _parse_grid(raw.get("grid"), config)
     options = _parse_scf(raw.get("scf"))
     output = _parse_output(raw.get("output"))
@@ -298,10 +307,9 @@ def _write_orbitals_csv(path: Path, state: ScfState) -> None:
     config = state.config
     labels = [_orbital_label(config, i) for i in range(config.n_shells)]
     density = np.zeros(state.grid.n)
-    spin_factor = 2.0 if config.model == "rhf" else 1.0
     for i in range(config.n_shells):
         density += (
-            spin_factor
+            config.spin_factor
             * config.shell_weight(i)
             * np.abs(state.orbitals[i].values) ** 2
         )
@@ -325,10 +333,48 @@ def _read_orbitals_csv(path: Path, grid: RadialGrid, n_shells: int) -> list[Radi
         rows = list(reader)
     if len(rows) != grid.n:
         raise ConfigError(f"{path}: {len(rows)} rows, grid has {grid.n} points")
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"{path}: every row needs {len(header)} columns")
     data = np.array([[float(x) for x in row] for row in rows])
     if not np.allclose(data[:, 0], grid.points, rtol=0, atol=1e-12):
         raise ConfigError(f"{path}: radii do not match the grid in the result document")
     return [RadialFunction(grid, data[:, 1 + i].copy()) for i in range(n_shells)]
+
+
+def load_state(result_path: str | Path, csv_path: str | Path) -> ScfState:
+    """Rebuild a solved state from the two files ``radialhf solve`` writes.
+
+    The configuration and grid are parsed from the result document with
+    the same rules as a configuration file; the orbitals come from the
+    table.  Raises :class:`ConfigError` on any malformed or mismatched
+    input (and ``OSError`` if the orbital table cannot be read).
+    """
+    path = Path(result_path)
+    raw = _read_json_object(path)
+    config = _parse_configuration(raw)
+    grid = _parse_grid(raw.get("grid"), config)
+    orbitals = _read_orbitals_csv(Path(csv_path), grid, config.n_shells)
+    try:
+        return ScfState(
+            config=config,
+            grid=grid,
+            orbitals=tuple(orbitals),
+            eigenvalues=np.array(raw["eigenvalues"], dtype=float),
+            norms=np.array([f.norm() for f in orbitals]),
+            residuals=np.array(raw["residuals"], dtype=float),
+            marginal=tuple(bool(x) for x in raw["marginal"]),
+            breakdown=EnergyBreakdown(
+                *(float(raw["breakdown"][k])
+                  for k in ("kinetic", "attraction", "direct", "exchange"))
+            ),
+            energy_trace=tuple(float(x) for x in raw["energy_trace"]),
+            iterations=int(raw["iterations"]),
+            converged=bool(raw["converged"]),
+            message=str(raw["message"]),
+            rejections=int(raw["rejections"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed result document ({exc!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +391,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    state = solve(config, grid, options=options)
+    try:
+        table = build_kernel_table(grid, build_coefficient_table(config.max_l))
+    except MemoryError as exc:
+        print(f"config error: grid: {exc}", file=sys.stderr)
+        return 2
+    state = solve(config, grid, table, options)
     scale, unit_name = _unit_scale(args.units)
 
     default_json = output.get("result") or Path(args.config).with_suffix(".result.json")
@@ -398,39 +449,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     try:
-        raw = json.loads(Path(args.result).read_text())
-        model = raw["model"]
-        shells = tuple(
-            ShellSpec(l=s["l"], spin=s.get("spin")) for s in raw["shells"]
-        )
-        config = Configuration(Z=float(raw["Z"]), model=model, shells=shells)
-        gdoc = raw["grid"]
-        if gdoc["kind"] == "exponential":
-            grid = make_grid("exponential", gdoc["n"], gdoc["r_max"], gamma=gdoc.get("gamma", 6.0))
-        else:
-            grid = make_grid("uniform", gdoc["n"], gdoc["r_max"])
-        orbitals = _read_orbitals_csv(Path(args.orbitals), grid, config.n_shells)
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+        state = load_state(args.result, args.orbitals)
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-    table = build_kernel_table(grid, build_coefficient_table(config.max_l))
-    state = ScfState(
-        config=config,
-        grid=grid,
-        orbitals=tuple(orbitals),
-        eigenvalues=np.array(raw.get("eigenvalues", [0.0] * config.n_shells)),
-        norms=np.array([f.norm() for f in orbitals]),
-        residuals=np.array(raw.get("residuals", [0.0] * config.n_shells)),
-        marginal=tuple(raw.get("marginal", [False] * config.n_shells)),
-        breakdown=total_energy(config, orbitals, table),
-        energy_trace=tuple(raw.get("energy_trace", [])),
-        iterations=int(raw.get("iterations", 0)),
-        converged=bool(raw.get("converged", False)),
-        message=str(raw.get("message", "")),
-        damping_final=0.0,
-        rejections=int(raw.get("rejections", 0)),
-    )
     try:
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
         if not radii:
@@ -441,7 +463,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         return 2
     scale, unit_name = _unit_scale(args.units)
     try:
-        results = probe_shell(state, args.shell, radii, lam=args.lam, table=table)
+        results = probe_shell(state, args.shell, radii, lam=args.lam)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

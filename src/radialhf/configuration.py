@@ -70,10 +70,14 @@ class Configuration:
         return max((sh.l for sh in self.shells), default=0)
 
     @property
+    def spin_factor(self) -> int:
+        """Electrons per orbital: 2 in the restricted model, 1 in the unrestricted."""
+        return 2 if self.model == "rhf" else 1
+
+    @property
     def electron_count(self) -> int:
         """Total number of electrons the shells hold."""
-        per = 2 if self.model == "rhf" else 1
-        return per * sum(2 * sh.l + 1 for sh in self.shells)
+        return self.spin_factor * sum(2 * sh.l + 1 for sh in self.shells)
 
     def shell_weight(self, i: int) -> int:
         """Degeneracy weight ``2l+1`` of shell ``i``."""

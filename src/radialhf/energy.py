@@ -36,13 +36,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .configuration import ALPHA, BETA, Configuration, ShellSpec
-from .grid import (
-    RadialFunction,
-    coulomb_expectation,
-    kinetic_bilinear,
-    kinetic_quadratic_form,
-)
+from .grid import RadialFunction, coulomb_expectation, kinetic_quadratic_form
 from .kernels import KernelTable, apply_direct_kernel
+from .operators import fock_matrix, mean_field
 
 __all__ = [
     "ShellSpec",
@@ -124,72 +120,37 @@ def _pair_exchange(grid, f: RadialFunction, g: RadialFunction, u_matrix) -> floa
     return float(np.real(a @ u_matrix @ np.conj(a)))
 
 
-def rhf_energy(
+def total_energy(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
     table: KernelTable,
 ) -> EnergyBreakdown:
-    """Restricted energy of the given shell orbitals.
+    """Energy breakdown for either model.
 
-    Orbitals need not be normalized or orthogonal; the functional is
-    evaluated verbatim.  Complex values are supported.
+    With ``s`` the configuration's spin factor, kinetic and attraction
+    carry ``s``, the direct term ``s^2/2``, and exchange ``s/2`` times
+    the sum over same-spin shell pairs.  Orbitals need not be normalized
+    or orthogonal, and may be complex.
     """
-    if config.model != "rhf":
-        raise ValueError("rhf_energy needs a restricted configuration")
     _check_inputs(config, orbitals, table)
     grid = table.grid
+    s = config.spin_factor
     weights = [config.shell_weight(j) for j in range(config.n_shells)]
 
     kinetic = 0.0
     coulomb = 0.0
     for c, sh, f in zip(weights, config.shells, orbitals):
-        kinetic += 2.0 * c * kinetic_quadratic_form(f, sh.l)
-        coulomb += 2.0 * c * coulomb_expectation(f)
+        kinetic += s * c * kinetic_quadratic_form(f, sh.l)
+        coulomb += s * c * coulomb_expectation(f)
     attraction = -config.Z * coulomb
 
     rho = np.zeros(grid.n)
     for c, f in zip(weights, orbitals):
         rho += c * np.abs(f.values) ** 2
-    direct = 2.0 * _pair_direct(grid, rho, rho)
+    direct = 0.5 * s * s * _pair_direct(grid, rho, rho)
 
-    exchange = 0.0
-    for j, (cj, shj, fj) in enumerate(zip(weights, config.shells, orbitals)):
-        for k, (ck, shk, fk) in enumerate(zip(weights, config.shells, orbitals)):
-            if k < j:
-                continue
-            x = cj * ck * _pair_exchange(grid, fj, fk, table.exchange(shj.l, shk.l))
-            exchange += x if k == j else 2.0 * x
-    return EnergyBreakdown(
-        kinetic=kinetic, attraction=attraction, direct=direct, exchange=exchange
-    )
-
-
-def uhf_energy(
-    config: Configuration,
-    orbitals: Sequence[RadialFunction],
-    table: KernelTable,
-) -> EnergyBreakdown:
-    """Unrestricted energy of the given shell orbitals."""
-    if config.model != "uhf":
-        raise ValueError("uhf_energy needs an unrestricted configuration")
-    _check_inputs(config, orbitals, table)
-    grid = table.grid
-    weights = [config.shell_weight(j) for j in range(config.n_shells)]
-
-    kinetic = 0.0
-    coulomb = 0.0
-    for c, sh, f in zip(weights, config.shells, orbitals):
-        kinetic += c * kinetic_quadratic_form(f, sh.l)
-        coulomb += c * coulomb_expectation(f)
-    attraction = -config.Z * coulomb
-
-    rho = np.zeros(grid.n)
-    for c, f in zip(weights, orbitals):
-        rho += c * np.abs(f.values) ** 2
-    direct = 0.5 * _pair_direct(grid, rho, rho)
-
-    exchange = 0.0
-    for spin in (ALPHA, BETA):
+    pairs = 0.0
+    for spin in (None, ALPHA, BETA):
         idx = [j for j, sh in enumerate(config.shells) if sh.spin == spin]
         for a, j in enumerate(idx):
             for k in idx[a:]:
@@ -203,58 +164,32 @@ def uhf_energy(
                         table.exchange(config.shells[j].l, config.shells[k].l),
                     )
                 )
-                exchange += 0.5 * x if k == j else x
+                pairs += x if k == j else 2.0 * x
     return EnergyBreakdown(
-        kinetic=kinetic, attraction=attraction, direct=direct, exchange=exchange
+        kinetic=kinetic, attraction=attraction, direct=direct, exchange=0.5 * s * pairs
     )
 
 
-def total_energy(
+def rhf_energy(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
     table: KernelTable,
 ) -> EnergyBreakdown:
-    """Energy breakdown for either model."""
-    fn = rhf_energy if config.model == "rhf" else uhf_energy
-    return fn(config, orbitals, table)
+    """Restricted energy of the given shell orbitals (see :func:`total_energy`)."""
+    if config.model != "rhf":
+        raise ValueError("rhf_energy needs a restricted configuration")
+    return total_energy(config, orbitals, table)
 
 
-def _fock_bilinear(
+def uhf_energy(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
     table: KernelTable,
-    p: RadialFunction,
-    q: RadialFunction,
-    l: int,
-    exclude: int | None = None,
-):
-    """``<p| H_l |q>`` for the restricted Fock operator built from ``orbitals``.
-
-    ``H_l = -d^2/dr^2 + l(l+1)/r^2 - Z/r + 2U - K_l`` where ``U`` is the
-    weighted electrostatic potential of all shell densities and ``K_l``
-    the weighted exchange operator.  ``exclude`` drops one shell from the
-    mean field (the one-shell-removed operator of the decomposition).
-    """
-    grid = table.grid
-    val = kinetic_bilinear(p, q, l)
-    pq = grid.weights * np.conj(p.values) * q.values
-    val = val - config.Z * np.sum(pq / grid.points)
-
-    rho = np.zeros(grid.n)
-    for j, f in enumerate(orbitals):
-        if j == exclude:
-            continue
-        rho += config.shell_weight(j) * np.abs(f.values) ** 2
-    val = val + 2.0 * np.sum(pq * apply_direct_kernel(grid, rho))
-
-    for j, (sh, f) in enumerate(zip(config.shells, orbitals)):
-        if j == exclude:
-            continue
-        u = table.exchange(l, sh.l)
-        a = grid.weights * np.conj(p.values) * f.values
-        b = grid.weights * np.conj(f.values) * q.values
-        val = val - config.shell_weight(j) * (a @ u @ b)
-    return complex(val) if np.iscomplexobj(val) else float(val)
+) -> EnergyBreakdown:
+    """Unrestricted energy of the given shell orbitals (see :func:`total_energy`)."""
+    if config.model != "uhf":
+        raise ValueError("uhf_energy needs an unrestricted configuration")
+    return total_energy(config, orbitals, table)
 
 
 def _self_pair_matrix(table: KernelTable, l: int) -> np.ndarray:
@@ -295,9 +230,9 @@ def decompose_shell(
     rest = [f for j, f in enumerate(orbitals) if j != i]
     without = rhf_energy(reduced, rest, table).total
 
-    single = 2.0 * c_i * np.real(
-        _fock_bilinear(config, orbitals, table, f_i, f_i, config.shells[i].l, exclude=i)
-    )
+    key = (None, config.shells[i].l)
+    fock = fock_matrix(table, config, key, *mean_field(config, orbitals, drop=i))
+    single = 2.0 * c_i * np.real(fock.bilinear(f_i, f_i))
 
     dens = np.abs(f_i.values) ** 2
     direct_ii = _pair_direct(grid, dens, dens)
@@ -328,10 +263,9 @@ def first_order_coefficient(
         raise ValueError("the expansion applies to the restricted model")
     _check_inputs(config, orbitals, table)
     c_i = config.shell_weight(i)
-    val = _fock_bilinear(
-        config, orbitals, table, h, orbitals[i], config.shells[i].l, exclude=None
-    )
-    return 4.0 * c_i * float(np.real(val))
+    key = (None, config.shells[i].l)
+    fock = fock_matrix(table, config, key, *mean_field(config, orbitals))
+    return 4.0 * c_i * float(np.real(fock.bilinear(h, orbitals[i])))
 
 
 def second_order_coefficient(
@@ -369,8 +303,10 @@ def second_order_coefficient(
     f_i = orbitals[i]
     w = grid.weights
 
-    h_hi_h = np.real(_fock_bilinear(config, orbitals, table, h, h, l_i, exclude=i))
-    f_h_f = np.real(_fock_bilinear(config, orbitals, table, f_i, f_i, l_i, exclude=None))
+    fock_i = fock_matrix(table, config, (None, l_i), *mean_field(config, orbitals, drop=i))
+    fock = fock_matrix(table, config, (None, l_i), *mean_field(config, orbitals))
+    h_hi_h = np.real(fock_i.bilinear(h, h))
+    f_h_f = np.real(fock.bilinear(f_i, f_i))
 
     pmat = _self_pair_matrix(table, l_i)
     v = w * np.conj(h.values) * f_i.values

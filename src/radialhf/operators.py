@@ -13,24 +13,23 @@ from the same jump stencil and trapezoidal weights.  On a uniform grid
 ``B`` is literally the familiar second-difference matrix plus diagonal
 potentials (minus the dense exchange part).
 
-Channel structure: the restricted Fock operator for angular momentum
-``l`` is ``-d^2 + l(l+1)/r^2 - Z/r + 2U - K_l`` (doubled electrostatic
-potential; exchange over all shells); the unrestricted operator for one
-spin is ``... + U - K_l^spin`` where ``U`` still carries the full
-both-spin density but enters once, and exchange runs over same-spin
-shells only.
+Channel structure: :func:`mean_field` reduces the shell orbitals to a
+density and per-``(spin, l)`` density matrices; :func:`fock_matrix`
+builds ``-d^2 + l(l+1)/r^2 - Z/r + s U - K_l`` from any such field, with
+spin factor ``s`` (2 restricted, 1 unrestricted: ``U`` carries both
+spins and exchange runs over same-spin shells only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .configuration import Configuration
+from .configuration import ALPHA, BETA, Configuration
 from .grid import RadialFunction, RadialGrid
 from .kernels import KernelTable, apply_direct_kernel
 
@@ -38,10 +37,8 @@ __all__ = [
     "EigensolverError",
     "FockMatrix",
     "hydrogenic_matrix",
-    "direct_potential",
-    "exchange_matrix",
-    "exchange_matrix_from_density",
-    "assemble_fock",
+    "mean_field",
+    "fock_matrix",
     "lowest_eigenpairs",
     "DENSE_CUTOFF",
 ]
@@ -73,12 +70,13 @@ class FockMatrix:
     matrix: np.ndarray
     label: str = "fock"
 
-    def quadratic_form(self, f: RadialFunction) -> float:
-        """``<f| H |f>`` for a grid function."""
-        if not f.grid.matches(self.grid):
+    def bilinear(self, p: RadialFunction, q: RadialFunction):
+        """``<p| H |q>`` for two grid functions; complex for complex inputs."""
+        if not (p.grid.matches(self.grid) and q.grid.matches(self.grid)):
             raise ValueError("function lives on a different grid")
-        u = np.sqrt(self.grid.weights) * f.values
-        return float(np.real(np.conj(u) @ self.matrix @ u))
+        sq = np.sqrt(self.grid.weights)
+        val = np.conj(sq * p.values) @ self.matrix @ (sq * q.values)
+        return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def _check_positive_charge(Z: float) -> float:
@@ -110,113 +108,63 @@ def hydrogenic_matrix(grid: RadialGrid, l: int, Z: float) -> FockMatrix:
     return FockMatrix(grid=grid, l=l, Z=Z, matrix=mat, label="hydrogenic")
 
 
-def direct_potential(
-    grid: RadialGrid,
-    sources: Sequence[tuple[np.ndarray, float]],
-) -> np.ndarray:
-    """Weighted electrostatic potential ``U(r) = sum_j c_j Int |f_j|^2/max(r,s)``.
-
-    ``sources`` are ``(values, weight)`` pairs.  Evaluated with prefix
-    sums; the result equals the dense kernel product with the trapezoidal
-    rule.
-    """
-    rho = np.zeros(grid.n)
-    for values, weight in sources:
-        rho += weight * np.abs(np.asarray(values)) ** 2
-    return apply_direct_kernel(grid, rho)
-
-
-def exchange_matrix(
-    grid: RadialGrid,
-    table: KernelTable,
-    l: int,
-    sources: Sequence[tuple[np.ndarray, int, float]],
-) -> np.ndarray:
-    """Exchange operator kernel ``K(r,s) = sum_j c_j f_j(r) U_{l l_j}(r,s) f_j(s)``.
-
-    ``sources`` are ``(values, l_j, weight)`` triples.  The returned
-    matrix is the *kernel* sampled on the grid (apply with quadrature
-    weights); it is symmetric and positive semi-definite.
-    """
-    acc = np.zeros((grid.n, grid.n))
-    for values, l_j, weight in sources:
-        f = np.asarray(values, dtype=float)
-        acc += weight * np.outer(f, f) * table.exchange(l, l_j)
-    return acc
-
-
-def exchange_matrix_from_density(
-    table: KernelTable,
-    l: int,
-    gammas: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Exchange kernel from per-``l`` density matrices.
-
-    ``gammas[l_j]`` is ``sum_j c_j f_j(r) f_j(s)`` for the shells of that
-    angular momentum; exchange is their entrywise product with the
-    corresponding kernel matrices, summed.
-    """
-    n = table.grid.n
-    acc = np.zeros((n, n))
-    for l_j, gamma in gammas.items():
-        acc += gamma * table.exchange(l, l_j)
-    return acc
-
-
-def _weighted_exchange(grid: RadialGrid, khat: np.ndarray) -> np.ndarray:
-    """Convert an exchange kernel into the symmetrized matrix representation."""
-    sq = np.sqrt(grid.weights)
-    return khat * np.outer(sq, sq)
-
-
-def assemble_fock(
-    grid: RadialGrid,
-    table: KernelTable,
-    Z: float,
+def mean_field(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
-    l: int,
-    channel: str = "rhf",
-    drop_shell: int | None = None,
-) -> FockMatrix:
-    """Full Fock matrix for one angular channel.
+    drop: int | None = None,
+) -> tuple[np.ndarray, dict[tuple[str | None, int], np.ndarray]]:
+    """Density ``rho = sum_j c_j |f_j|^2`` and per-channel density matrices.
 
-    Parameters
-    ----------
-    channel : str
-        ``"rhf"`` for the restricted operator (doubled direct term,
-        exchange over all shells) or ``"alpha"``/``"beta"`` for one
-        unrestricted spin channel (single direct term with the both-spin
-        density, same-spin exchange).
-    drop_shell : int, optional
-        Omit this shell from the mean field entirely (both direct and
-        exchange) — the one-shell-removed operator.
+    ``gammas[(spin, l)] = sum_j c_j u_j u_j^*`` with ``u_j = sqrt(w) f_j``,
+    so they are already symmetrized.  ``drop`` leaves shell ``drop`` out,
+    giving the mean field of ``config.drop_shell(drop)``.
     """
-    if channel not in ("rhf", "alpha", "beta"):
-        raise ValueError(f"channel must be 'rhf', 'alpha' or 'beta', got {channel!r}")
-    if (channel == "rhf") != (config.model == "rhf"):
-        raise ValueError(f"channel {channel!r} does not match model {config.model!r}")
-    if len(orbitals) != config.n_shells:
-        raise ValueError(f"expected {config.n_shells} orbitals, got {len(orbitals)}")
+    if not orbitals or len(orbitals) != config.n_shells:
+        raise ValueError(
+            f"expected {config.n_shells} orbitals (at least one), got {len(orbitals)}"
+        )
+    grid = orbitals[0].grid
+    sq = np.sqrt(grid.weights)
+    rho = np.zeros(grid.n)
+    gammas: dict[tuple[str | None, int], np.ndarray] = {}
+    for key, shell_idx in config.channels().items():
+        kept = [i for i in shell_idx if i != drop]
+        if not kept:
+            continue
+        gamma = 0.0
+        for i in kept:
+            c = config.shell_weight(i)
+            rho += c * np.abs(orbitals[i].values) ** 2
+            u = sq * orbitals[i].values
+            gamma = gamma + c * np.outer(u, u.conj())
+        gammas[key] = gamma
+    return rho, gammas
 
-    base = hydrogenic_matrix(grid, l, Z)
-    dir_sources = [
-        (f.values, float(config.shell_weight(j)))
-        for j, f in enumerate(orbitals)
-        if j != drop_shell
-    ]
-    exch_sources = [
-        (f.values, config.shells[j].l, float(config.shell_weight(j)))
-        for j, f in enumerate(orbitals)
-        if j != drop_shell and (channel == "rhf" or config.shells[j].spin == channel)
-    ]
-    factor = 2.0 if channel == "rhf" else 1.0
-    mat = base.matrix.copy()
+
+def fock_matrix(
+    table: KernelTable,
+    config: Configuration,
+    key: tuple[str | None, int],
+    rho: np.ndarray,
+    gammas: Mapping[tuple[str | None, int], np.ndarray],
+) -> FockMatrix:
+    """Fock matrix of channel ``key = (spin, l)`` in a mean field.
+
+    ``rho`` and ``gammas`` come from :func:`mean_field` or mix such
+    fields; exchange takes the density matrices of the channel's spin.
+    """
+    spin, l = key
+    if spin not in ((None,) if config.model == "rhf" else (ALPHA, BETA)):
+        raise ValueError(f"channel {key} does not match model {config.model!r}")
+    grid = table.grid
+    dtype = np.result_type(*gammas.values(), float)
+    mat = hydrogenic_matrix(grid, l, config.Z).matrix.astype(dtype, copy=False)
     idx = np.arange(grid.n)
-    mat[idx, idx] += factor * direct_potential(grid, dir_sources)
-    if exch_sources:
-        mat -= _weighted_exchange(grid, exchange_matrix(grid, table, l, exch_sources))
-    return FockMatrix(grid=grid, l=l, Z=float(Z), matrix=mat, label=channel)
+    mat[idx, idx] += config.spin_factor * apply_direct_kernel(grid, rho)
+    for (spin_j, l_j), gamma in gammas.items():
+        if spin_j == spin:
+            mat -= gamma * table.exchange(l, l_j)
+    return FockMatrix(grid=grid, l=l, Z=config.Z, matrix=mat, label=spin or "rhf")
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -43,11 +43,13 @@ from .angular import build_coefficient_table
 from .configuration import Configuration
 from .energy import EnergyBreakdown, second_order_coefficient, total_energy
 from .grid import RadialFunction, RadialGrid, make_grid
-from .kernels import KernelTable, apply_direct_kernel, build_kernel_table
+from .kernels import KernelTable, build_kernel_table
 from .operators import (
-    FockMatrix,
+    DENSE_CUTOFF,
+    fock_matrix,
     hydrogenic_matrix,
     lowest_eigenpairs,
+    mean_field,
 )
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
 ]
 
 ChannelKey = tuple[str | None, int]
+MeanField = tuple[np.ndarray, dict[ChannelKey, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class ScfOptions:
     max_iter: int = 500
     tol_zero: float = 1e-8
     level_shift: float = 0.0
-    dense_cutoff: int = 2500
+    dense_cutoff: int = DENSE_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ class ScfState:
     iterations: int
     converged: bool
     message: str
-    damping_final: float
     rejections: int
 
     @property
@@ -182,66 +184,9 @@ def occupy(
     )
 
 
-def _mean_field(
-    config: Configuration, orbitals: Sequence[RadialFunction]
-) -> tuple[np.ndarray, dict[ChannelKey, np.ndarray]]:
-    """Density vector and per-channel density matrices of the orbitals."""
-    grid = orbitals[0].grid
-    rho = np.zeros(grid.n)
-    gammas: dict[ChannelKey, np.ndarray] = {}
-    for key, shell_idx in config.channels().items():
-        gamma = np.zeros((grid.n, grid.n))
-        for i in shell_idx:
-            vals = np.real(orbitals[i].values)
-            c = config.shell_weight(i)
-            rho += c * vals**2
-            gamma += c * np.outer(vals, vals)
-        gammas[key] = gamma
-    return rho, gammas
-
-
-class _FockBuilder:
-    """Per-channel Fock assembly with cached one-electron parts."""
-
-    def __init__(self, config, grid, table):
-        self.config = config
-        self.grid = grid
-        self.table = table
-        self.factor = 2.0 if config.model == "rhf" else 1.0
-        self.base = {
-            l: hydrogenic_matrix(grid, l, config.Z).matrix
-            for l in {sh.l for sh in config.shells}
-        }
-        sq = np.sqrt(grid.weights)
-        self.weight_outer = np.outer(sq, sq)
-
-    def build(
-        self,
-        key: ChannelKey,
-        rho: np.ndarray,
-        gammas: Mapping[ChannelKey, np.ndarray],
-    ) -> FockMatrix:
-        spin, l = key
-        mat = self.base[l].copy()
-        idx = np.arange(self.grid.n)
-        mat[idx, idx] += self.factor * apply_direct_kernel(self.grid, rho)
-        khat = np.zeros_like(mat)
-        for (spin_j, l_j), gamma in gammas.items():
-            if spin is None or spin_j == spin:
-                khat += gamma * self.table.exchange(l, l_j)
-        mat -= khat * self.weight_outer
-        return FockMatrix(
-            grid=self.grid,
-            l=l,
-            Z=self.config.Z,
-            matrix=mat,
-            label="rhf" if spin is None else spin,
-        )
-
-
 def _diagonalize_all(
-    builder: _FockBuilder,
-    channels: Mapping[ChannelKey, list[int]],
+    table: KernelTable,
+    config: Configuration,
     rho: np.ndarray,
     gammas: Mapping[ChannelKey, np.ndarray],
     occupied_u: Mapping[ChannelKey, np.ndarray] | None,
@@ -249,8 +194,8 @@ def _diagonalize_all(
     dense_cutoff: int,
 ) -> dict[ChannelKey, tuple[np.ndarray, list[RadialFunction]]]:
     out = {}
-    for key, shell_idx in channels.items():
-        fock = builder.build(key, rho, gammas)
+    for key, shell_idx in config.channels().items():
+        fock = fock_matrix(table, config, key, rho, gammas)
         mat = fock.matrix
         if level_shift > 0.0 and occupied_u is not None:
             u = occupied_u.get(key)
@@ -259,6 +204,14 @@ def _diagonalize_all(
                 fock = replace(fock, matrix=mat)
         out[key] = lowest_eigenpairs(fock, len(shell_idx), dense_cutoff)
     return out
+
+
+def _mix(field: MeanField, target: MeanField, alpha: float) -> MeanField:
+    """``(1 - alpha) field + alpha target``, density and density matrices alike."""
+    (rho, gammas), (rho_t, gammas_t) = field, target
+    return (1.0 - alpha) * rho + alpha * rho_t, {
+        key: (1.0 - alpha) * gammas[key] + alpha * gammas_t[key] for key in gammas
+    }
 
 
 def _occupied_vectors(
@@ -280,18 +233,17 @@ def _occupied_vectors(
 
 
 def _residuals(
+    table: KernelTable,
     config: Configuration,
-    builder: _FockBuilder,
     orbitals: Sequence[RadialFunction],
     eigenvalues: np.ndarray,
-    grid: RadialGrid,
 ) -> np.ndarray:
     """Per-shell ``|H f - e f|`` against the orbitals' own mean field."""
-    rho, gammas = _mean_field(config, orbitals)
-    sq = np.sqrt(grid.weights)
+    rho, gammas = mean_field(config, orbitals)
+    sq = np.sqrt(table.grid.weights)
     res = np.zeros(config.n_shells)
     for key, shell_idx in config.channels().items():
-        mat = builder.build(key, rho, gammas).matrix
+        mat = fock_matrix(table, config, key, rho, gammas).matrix
         for i in shell_idx:
             if orbitals[i].norm() <= 0.5:
                 continue
@@ -320,7 +272,6 @@ def solve(
     if not table.grid.matches(grid):
         raise ValueError("kernel table was built for a different grid")
     channels = config.channels()
-    builder = _FockBuilder(config, grid, table)
 
     # Hydrogenic start: exact in the one-electron limit, deterministic.
     init_pairs = {
@@ -339,7 +290,7 @@ def solve(
     energy = breakdown.total
     trace = [energy]
 
-    rho_mf, gamma_mf = _mean_field(config, orbitals)
+    field = mean_field(config, orbitals)
     alpha = options.damping
     beta = options.level_shift
     rejections = 0
@@ -351,7 +302,7 @@ def solve(
     for iterations in range(1, options.max_iter + 1):
         occupied_u = _occupied_vectors(config, orbitals, grid) if beta > 0 else None
         pairs = _diagonalize_all(
-            builder, channels, rho_mf, gamma_mf, occupied_u, beta, options.dense_cutoff
+            table, config, *field, occupied_u, beta, options.dense_cutoff
         )
         occ_new = occupy(config, pairs, options.tol_zero)
         bd_new = total_energy(config, occ_new.orbitals, table)
@@ -366,12 +317,7 @@ def solve(
             breakdown = bd_new
             energy = e_new
             trace.append(energy)
-            rho_new, gamma_new = _mean_field(config, orbitals)
-            rho_mf = (1.0 - alpha) * rho_mf + alpha * rho_new
-            gamma_mf = {
-                key: (1.0 - alpha) * gamma_mf[key] + alpha * gamma_new[key]
-                for key in gamma_mf
-            }
+            field = _mix(field, mean_field(config, orbitals), alpha)
             clean_streak += 1
             if beta > 0 and clean_streak >= 3:
                 beta *= 0.5
@@ -380,7 +326,7 @@ def solve(
             if clean_streak >= 4:
                 alpha = min(0.9, 1.5 * alpha)
             if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
-                res = _residuals(config, builder, orbitals, eigenvalues, grid)
+                res = _residuals(table, config, orbitals, eigenvalues)
                 if float(res.max(initial=0.0)) <= options.tol_residual:
                     converged = True
                     break
@@ -389,7 +335,7 @@ def solve(
             clean_streak = 0
             alpha *= 0.5
             if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
-                res = _residuals(config, builder, orbitals, eigenvalues, grid)
+                res = _residuals(table, config, orbitals, eigenvalues)
                 if float(res.max(initial=0.0)) <= options.tol_residual:
                     converged = True
                     message = "converged at an energy plateau"
@@ -402,12 +348,7 @@ def solve(
             # would just reproduce the rejection, whereas bisecting the
             # segment between the accepted field and the proposal finds a
             # step size whose energy does descend.
-            rho_prop, gamma_prop = _mean_field(config, occ_new.orbitals)
-            rho_mf = (1.0 - alpha) * rho_mf + alpha * rho_prop
-            gamma_mf = {
-                key: (1.0 - alpha) * gamma_mf[key] + alpha * gamma_prop[key]
-                for key in gamma_mf
-            }
+            field = _mix(field, mean_field(config, occ_new.orbitals), alpha)
             if rejections % 3 == 0:
                 beta = max(1.0, 2.0 * beta)
     else:
@@ -416,9 +357,8 @@ def solve(
     if converged:
         # Undamped polish: make the occupied orbitals eigenfunctions of
         # the Fock matrices built from the converged state itself.
-        rho_fin, gamma_fin = _mean_field(config, orbitals)
         pairs = _diagonalize_all(
-            builder, channels, rho_fin, gamma_fin, None, 0.0, options.dense_cutoff
+            table, config, *mean_field(config, orbitals), None, 0.0, options.dense_cutoff
         )
         occ_fin = occupy(config, pairs, options.tol_zero)
         orbitals = occ_fin.orbitals
@@ -430,7 +370,7 @@ def solve(
         if not message:
             message = "converged"
 
-    residuals = _residuals(config, builder, orbitals, eigenvalues, grid)
+    residuals = _residuals(table, config, orbitals, eigenvalues)
     norms = np.array([f.norm() for f in orbitals])
     return ScfState(
         config=config,
@@ -445,7 +385,6 @@ def solve(
         iterations=iterations,
         converged=converged,
         message=message,
-        damping_final=alpha,
         rejections=rejections,
     )
 
@@ -630,12 +569,11 @@ def theorem_report(state: ScfState, tol_zero: float = 1e-8) -> TheoremReport:
     notes: list[str] = []
     clause_i = True
     ii_applicable = []
-    per_shell_electrons = 2 if config.model == "rhf" else 1
     for i, sh in enumerate(config.shells):
         eps = float(state.eigenvalues[i])
         nrm = float(state.norms[i])
         occupied = nrm > _NORM_TOL
-        hypothesis = Z > N - per_shell_electrons * (2 * sh.l + 1)
+        hypothesis = Z > N - config.spin_factor * (2 * sh.l + 1)
         full_norm_hyp = Z >= N - 1 - 1e-9 and (config.model == "rhf" or sh.l != 0)
         shells.append(
             ShellVerdict(

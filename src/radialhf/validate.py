@@ -58,12 +58,7 @@ from .kernels import (
     save_kernel_table,
     u_kernel,
 )
-from .operators import (
-    direct_potential,
-    exchange_matrix,
-    hydrogenic_matrix,
-    lowest_eigenpairs,
-)
+from .operators import fock_matrix, hydrogenic_matrix, lowest_eigenpairs, mean_field
 from .scf import (
     ScfState,
     corollary_inequalities,
@@ -448,7 +443,7 @@ def _operator_checks() -> list[CheckResult]:
     err = 0.0
     for rank in range(2):
         f = vecs0[rank]
-        q = h0.quadratic_form(f)
+        q = h0.bilinear(f, f)
         direct = kinetic_quadratic_form(f, 0) - radial_expectation(
             f, 1.0 / g.points
         )
@@ -477,16 +472,19 @@ def _operator_checks() -> list[CheckResult]:
     coeffs = build_coefficient_table(1)
     table = build_kernel_table(gk, coeffs, max_l=1)
     epsk, vecsk = lowest_eigenpairs(hydrogenic_matrix(gk, 0, 2.0), 1)
-    src = vecsk[0]
-    kmat = exchange_matrix(gk, table, 0, [(src.values, 0, 1.0)])
-    vmat = direct_potential(gk, [(src.values, 1.0)])
+    cfg = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    rho, gammas = mean_field(cfg, vecsk)
+    # The same operator without exchange; their difference is <f, K f>.
+    no_exchange = fock_matrix(table, cfg, (None, 0), rho, {})
+    fock = fock_matrix(table, cfg, (None, 0), rho, gammas)
+    vmat = apply_direct_kernel(gk, rho)
     bad = None
     rng = np.random.default_rng(3)
     for _ in range(30):
         aa = rng.uniform(0.4, 2.0)
-        f = gk.points * np.exp(-aa * gk.points)
-        kq = float(f @ (gk.weights * (kmat @ (gk.weights * f))))
-        vq = float(np.sum(gk.weights * vmat * f * f))
+        f = RadialFunction(gk, gk.points * np.exp(-aa * gk.points))
+        kq = no_exchange.bilinear(f, f) - fock.bilinear(f, f)
+        vq = float(np.sum(gk.weights * vmat * f.values**2))
         if not (-1e-12 <= kq <= vq + 1e-12):
             bad = f"<f,Kf> = {kq:.3e} outside [0, <f,Uf> = {vq:.3e}]"
             break
@@ -838,7 +836,6 @@ def _scf_full_checks() -> list[CheckResult]:
         iterations=0,
         converged=True,
         message="depleted fixture",
-        damping_final=0.3,
         rejections=0,
     )
     pr = {p.R: p.coefficient for p in probe_shell(fixture, 0, [10.0, 40.0], 0.0, td)}

@@ -137,7 +137,6 @@ def depleted_state(he_config, he_wide_grid, he_wide_table):
         iterations=0,
         converged=True,
         message="depleted fixture",
-        damping_final=0.3,
         rejections=0,
     )
 

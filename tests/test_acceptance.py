@@ -18,12 +18,11 @@ from radialhf import (
     Configuration,
     RadialFunction,
     ShellSpec,
+    apply_direct_kernel,
     corollary_inequalities,
     coulomb_expectation,
     decompose_shell,
     derivative_sq_norm,
-    direct_potential,
-    exchange_matrix,
     first_order_coefficient,
     hydrogenic_matrix,
     lower_bound,
@@ -38,7 +37,7 @@ from radialhf import (
     theorem_report,
     u_kernel,
 )
-from util import random_config, random_orbital, random_orbital_set
+from util import exchange_kernel, random_config, random_orbital, random_orbital_set
 
 
 def report(number: int, detail: str) -> None:
@@ -172,11 +171,8 @@ def test_criterion_04_lower_bound_chain_hardy(grid300, table300):
         shells = [int(rng.integers(0, 3)) for _ in range(int(rng.integers(1, 4)))]
         orbs = [random_orbital(rng, g, l) for l in shells]
         weights = [float(2 * l + 1) for l in shells]
-        kmat = exchange_matrix(
-            g, table300, 1,
-            [(f.values, l, w) for f, l, w in zip(orbs, shells, weights)],
-        )
-        umat = direct_potential(g, [(f.values, w) for f, w in zip(orbs, weights)])
+        kmat = exchange_kernel(table300, 1, shells, orbs)
+        umat = apply_direct_kernel(g, sum(w * f.values**2 for f, w in zip(orbs, weights)))
         v = random_orbital(rng, g, 1, norm_value=1.0).values
         kq = float(v @ (g.weights * (kmat @ (g.weights * v))))
         uq = float(np.sum(g.weights * umat * v * v))

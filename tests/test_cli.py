@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from radialhf import ScfOptions
 from radialhf.cli import ConfigError, load_config, main
 
 HELIUM = {
@@ -105,6 +108,17 @@ def test_load_config_bad_json_and_missing_file(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
+def test_readme_schema_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+    path = tmp_path / "schema.json"
+    path.write_text(re.sub(r"//.*", "", block))
+    config, grid, options, output = load_config(path)
+    assert (config.Z, config.n_shells, grid.n) == (10.0, 3, 1500)
+    assert options == ScfOptions()
+    assert output["result"] == "neon.result.json"
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -176,6 +190,14 @@ def test_solve_exit_2_on_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert main(["solve", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_solve_exit_2_when_grid_exceeds_memory_budget(tmp_path, capsys):
+    # the kernel-table budget check raises before anything is allocated
+    doc = dict(HELIUM, grid={"kind": "uniform", "n": 40000, "r_max": 12.0})
+    path = write_config(tmp_path, doc)
+    assert main(["solve", str(path)]) == 2
+    assert "over the budget" in capsys.readouterr().err
 
 
 def test_non_convergence_exits_1_with_diagnostics(tmp_path, capsys):
@@ -254,6 +276,25 @@ def test_probe_rejects_mismatched_files(solved_wide, tmp_path, capsys):
     assert main(["probe", str(result), str(bad_csv),
                  "--shell", "0", "--radii", "5"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (lambda d: [1, 2], "(top level)"),
+        (lambda d: dict(d, shells=[0]), "shells[0]"),
+        (lambda d: {k: v for k, v in d.items() if k != "grid"}, "rows"),
+        (lambda d: dict(d, breakdown=[]), "malformed"),
+        (lambda d: {k: v for k, v in d.items() if k != "eigenvalues"}, "eigenvalues"),
+    ],
+)
+def test_probe_rejects_malformed_result_document(solved_wide, tmp_path, capsys, mutate, needle):
+    result, orbitals = solved_wide
+    bad = tmp_path / "bad.result.json"
+    bad.write_text(json.dumps(mutate(json.loads(result.read_text()))))
+    assert main(["probe", str(bad), str(orbitals), "--shell", "0", "--radii", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and needle in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,18 @@ from radialhf import (
     Configuration,
     RadialFunction,
     ShellSpec,
-    assemble_fock,
-    build_coefficient_table,
-    build_kernel_table,
+    apply_direct_kernel,
     coulomb_expectation,
     derivative_sq_norm,
-    direct_potential,
-    exchange_matrix,
-    exchange_matrix_from_density,
+    fock_matrix,
     hydrogenic_matrix,
     inner,
     kinetic_quadratic_form,
     lowest_eigenpairs,
     make_grid,
-    radial_expectation,
+    mean_field,
 )
-from util import random_orbital, smooth_bump
+from util import exchange_kernel, random_orbital
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +90,7 @@ def test_quadratic_form_consistency(coarse_hydrogen):
     h0 = hydrogenic_matrix(g, 0, 1.0)
     for rank in range(3):
         f = vecs[rank]
-        q = h0.quadratic_form(f)
+        q = h0.bilinear(f, f)
         assembled = kinetic_quadratic_form(f, 0) - coulomb_expectation(f)
         assert q == pytest.approx(eps[rank], abs=1e-10)
         assert q == pytest.approx(assembled, abs=1e-8)
@@ -134,7 +130,9 @@ def test_lowest_eigenpairs_rejects_bad_count(coarse_hydrogen):
 def test_direct_potential_closed_form():
     # source 2 r e^{-r}: U(r) = 1/r - e^{-2r} (1 + 1/r)
     g = make_grid("uniform", 2000, 25.0)
-    u = direct_potential(g, [(2.0 * g.points * np.exp(-g.points), 1.0)])
+    config = Configuration(Z=1.0, model="rhf", shells=(ShellSpec(0),))
+    rho, _ = mean_field(config, [RadialFunction(g, 2.0 * g.points * np.exp(-g.points))])
+    u = apply_direct_kernel(g, rho)
     r = g.points
     exact = 1.0 / r - np.exp(-2.0 * r) * (1.0 + 1.0 / r)
     assert np.max(np.abs(u - exact)) <= 5e-4
@@ -144,35 +142,59 @@ def test_direct_potential_closed_form():
 
 def test_direct_potential_zero_source():
     g = make_grid("uniform", 100, 10.0)
-    np.testing.assert_array_equal(direct_potential(g, []), np.zeros(100))
-    np.testing.assert_array_equal(
-        direct_potential(g, [(np.zeros(100), 3.0)]), np.zeros(100)
-    )
+    config = Configuration(Z=1.0, model="rhf", shells=(ShellSpec(1),))
+    zero = [RadialFunction(g, np.zeros(100))]
+    rho, gammas = mean_field(config, zero, drop=0)
+    assert gammas == {}
+    np.testing.assert_array_equal(apply_direct_kernel(g, rho), np.zeros(100))
+    rho, _ = mean_field(config, zero)
+    np.testing.assert_array_equal(apply_direct_kernel(g, rho), np.zeros(100))
 
 
 def test_exchange_matrix_zero_sources(table400):
+    # no density matrices: nothing is subtracted from the bare operator
     g = table400.grid
-    np.testing.assert_array_equal(
-        exchange_matrix(g, table400, 0, []), np.zeros((g.n, g.n))
-    )
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    fock = fock_matrix(table400, config, (None, 0), np.zeros(g.n), {})
+    np.testing.assert_array_equal(fock.matrix, hydrogenic_matrix(g, 0, 2.0).matrix)
 
 
 def test_exchange_matrix_matches_density_form(table400):
+    # exchange from the per-channel density matrices equals the sum over
+    # the individual source orbitals
     g = table400.grid
     rng = np.random.default_rng(17)
     f0 = random_orbital(rng, g, 0)
     f1 = random_orbital(rng, g, 1)
-    sources = [(f0.values, 0, 1.0), (f1.values, 1, 3.0)]
-    gammas = {
-        0: 1.0 * np.outer(f0.values, f0.values),
-        1: 3.0 * np.outer(f1.values, f1.values),
-    }
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0), ShellSpec(1)))
+    rho, gammas = mean_field(config, [f0, f1])
+    sq = np.sqrt(g.weights)
+    expected = hydrogenic_matrix(g, 2, 2.0).matrix + np.diag(2 * apply_direct_kernel(g, rho))
+    for f, l, w in ((f0, 0, 1.0), (f1, 1, 3.0)):
+        expected -= w * np.outer(sq * f.values, sq * f.values) * table400.exchange(2, l)
     np.testing.assert_allclose(
-        exchange_matrix(g, table400, 2, sources),
-        exchange_matrix_from_density(table400, 2, gammas),
+        fock_matrix(table400, config, (None, 2), rho, gammas).matrix,
+        expected,
         rtol=1e-13,
         atol=1e-15,
     )
+
+
+def test_mean_field_drop_equals_dropped_configuration(table400):
+    g = table400.grid
+    rng = np.random.default_rng(41)
+    config = Configuration(
+        Z=6.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1), ShellSpec(2))
+    )
+    orbs = [random_orbital(rng, g, sh.l) for sh in config.shells]
+    for i in range(config.n_shells):
+        rest = [f for j, f in enumerate(orbs) if j != i]
+        rho, gammas = mean_field(config, orbs, drop=i)
+        rho_ref, gammas_ref = mean_field(config.drop_shell(i), rest)
+        np.testing.assert_array_equal(rho, rho_ref)
+        assert gammas.keys() == gammas_ref.keys()
+        for key in gammas:
+            np.testing.assert_array_equal(gammas[key], gammas_ref[key])
 
 
 def test_operator_chain_exchange_below_direct(table400):
@@ -183,11 +205,8 @@ def test_operator_chain_exchange_below_direct(table400):
         shells = [(int(rng.integers(0, 3)), 1.0) for _ in range(rng.integers(1, 4))]
         orbs = [random_orbital(rng, g, l) for l, _ in shells]
         weights = [float(2 * l + 1) for l, _ in shells]
-        kmat = exchange_matrix(
-            g, table400, 1,
-            [(f.values, l, w) for f, (l, _), w in zip(orbs, shells, weights)],
-        )
-        umat = direct_potential(g, [(f.values, w) for f, w in zip(orbs, weights)])
+        kmat = exchange_kernel(table400, 1, [l for l, _ in shells], orbs)
+        umat = apply_direct_kernel(g, sum(w * f.values**2 for f, w in zip(orbs, weights)))
         probe = random_orbital(rng, g, 1, norm_value=1.0)
         v = probe.values
         kq = float(v @ (g.weights * (kmat @ (g.weights * v))))
@@ -208,7 +227,7 @@ def test_fock_with_zero_orbitals_is_hydrogenic(table400):
     g = table400.grid
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     zero = [RadialFunction(g, np.zeros(g.n))]
-    fock = assemble_fock(g, table400, 2.0, config, zero, 0)
+    fock = fock_matrix(table400, config, (None, 0), *mean_field(config, zero))
     np.testing.assert_array_equal(fock.matrix, hydrogenic_matrix(g, 0, 2.0).matrix)
 
 
@@ -220,8 +239,8 @@ def test_paired_spin_channels_reduce_to_restricted(table400):
     uhf = Configuration(
         Z=2.0, model="uhf", shells=(ShellSpec(0, "alpha"), ShellSpec(0, "beta"))
     )
-    mat_r = assemble_fock(g, table400, 2.0, rhf, [f], 0, channel="rhf").matrix
-    mat_u = assemble_fock(g, table400, 2.0, uhf, [f, f], 0, channel="alpha").matrix
+    mat_r = fock_matrix(table400, rhf, (None, 0), *mean_field(rhf, [f])).matrix
+    mat_u = fock_matrix(table400, uhf, ("alpha", 0), *mean_field(uhf, [f, f])).matrix
     np.testing.assert_allclose(mat_r, mat_u, rtol=0, atol=1e-13)
 
 
@@ -230,7 +249,7 @@ def test_drop_shell_removes_own_mean_field(table400):
     rng = np.random.default_rng(37)
     config = Configuration(Z=5.0, model="rhf", shells=(ShellSpec(0),))
     f = random_orbital(rng, g, 0, norm_value=1.0)
-    dropped = assemble_fock(g, table400, 5.0, config, [f], 0, drop_shell=0)
+    dropped = fock_matrix(table400, config, (None, 0), *mean_field(config, [f], drop=0))
     np.testing.assert_array_equal(dropped.matrix, hydrogenic_matrix(g, 0, 5.0).matrix)
 
 
@@ -238,12 +257,13 @@ def test_assemble_fock_validates_channel(table400):
     g = table400.grid
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     zero = [RadialFunction(g, np.zeros(g.n))]
+    rho, gammas = mean_field(config, zero)
     with pytest.raises(ValueError):
-        assemble_fock(g, table400, 2.0, config, zero, 0, channel="gamma")
+        fock_matrix(table400, config, ("gamma", 0), rho, gammas)
     with pytest.raises(ValueError):
-        assemble_fock(g, table400, 2.0, config, zero, 0, channel="alpha")
+        fock_matrix(table400, config, ("alpha", 0), rho, gammas)
     with pytest.raises(ValueError):
-        assemble_fock(g, table400, 2.0, config, [], 0)
+        mean_field(config, [])
 
 
 def test_screened_operator_lies_between_bare_and_doubled(table400):
@@ -253,7 +273,7 @@ def test_screened_operator_lies_between_bare_and_doubled(table400):
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     eps_bare, vecs = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 1)
     f = vecs[0]
-    fock = assemble_fock(g, table400, 2.0, config, [f], 0)
+    fock = fock_matrix(table400, config, (None, 0), *mean_field(config, [f]))
     eps_scr, _ = lowest_eigenpairs(fock, 1)
     assert eps_scr[0] > eps_bare[0]
-    assert fock.quadratic_form(f) >= eps_scr[0] - 1e-12
+    assert fock.bilinear(f, f) >= eps_scr[0] - 1e-12

@@ -10,15 +10,16 @@ from radialhf import (
     RadialFunction,
     ScfOptions,
     ShellSpec,
-    assemble_fock,
     corollary_inequalities,
     first_order_coefficient,
+    fock_matrix,
     hydrogenic_matrix,
     inner,
     lowest_eigenpairs,
     make_bump,
     make_default_grid,
     make_grid,
+    mean_field,
     occupy,
     probe_shell,
     solve,
@@ -63,12 +64,11 @@ def test_helium_grid_refinement_is_stable(he_state, he3000_state):
     assert abs(he3000_state.energy - he_state.energy) < 1e-3
 
 
-def test_helium_fixed_point_consistency(he_state, he_grid, he_table):
+def test_helium_fixed_point_consistency(he_state, he_table):
     # re-assembling the Fock operator from the converged orbitals and
     # re-diagonalizing must reproduce the stored eigenpair
-    fock = assemble_fock(
-        he_grid, he_table, 2.0, he_state.config, list(he_state.orbitals), 0
-    )
+    config = he_state.config
+    fock = fock_matrix(he_table, config, (None, 0), *mean_field(config, he_state.orbitals))
     eps, vecs = lowest_eigenpairs(fock, 1)
     # agreement is limited by tol_residual: the orbitals solve their own
     # Fock equation to 1e-6, so re-assembly shifts the operator by that much

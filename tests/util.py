@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from radialhf import Configuration, RadialFunction, RadialGrid, ShellSpec
+from radialhf import (
+    Configuration,
+    KernelTable,
+    RadialFunction,
+    RadialGrid,
+    ShellSpec,
+    fock_matrix,
+    mean_field,
+)
 
 
 def smooth_bump(grid: RadialGrid, center: float, width: float) -> np.ndarray:
@@ -56,3 +64,28 @@ def random_orbital_set(
         random_orbital(rng, grid, sh.l, norm_value=norm_value)
         for sh in config.shells
     ]
+
+
+def exchange_kernel(
+    table: KernelTable,
+    l: int,
+    shell_ls: list[int],
+    orbitals: list[RadialFunction],
+) -> np.ndarray:
+    """Exchange kernel ``sum_j c_j f_j(r) U_{l l_j}(r,s) f_j(s)`` of restricted shells.
+
+    Read off the Fock matrix: the same operator built without the
+    density matrices differs from it by the exchange part alone, in the
+    symmetrized representation ``W^(1/2) K W^(1/2)``.
+    """
+    config = Configuration(
+        Z=1.0, model="rhf", shells=tuple(ShellSpec(l_j) for l_j in shell_ls)
+    )
+    rho, gammas = mean_field(config, orbitals)
+    key = (None, l)
+    khat = (
+        fock_matrix(table, config, key, rho, {}).matrix
+        - fock_matrix(table, config, key, rho, gammas).matrix
+    )
+    sq = np.sqrt(table.grid.weights)
+    return khat / np.outer(sq, sq)
