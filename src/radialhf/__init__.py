@@ -48,6 +48,7 @@ from .kernels import (
     KernelTable,
     QuadratureAccuracyError,
     apply_direct_kernel,
+    apply_exchange_kernel,
     build_kernel_table,
     load_kernel_table,
     oracle_u_kernel,
@@ -106,6 +107,7 @@ __all__ = [
     "ShellVerdict",
     "TheoremReport",
     "apply_direct_kernel",
+    "apply_exchange_kernel",
     "build_coefficient_table",
     "build_kernel_table",
     "corollary_inequalities",

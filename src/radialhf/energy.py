@@ -37,7 +37,7 @@ import numpy as np
 
 from .configuration import ALPHA, BETA, Configuration, ShellSpec
 from .grid import RadialFunction, coulomb_expectation, kinetic_quadratic_form
-from .kernels import KernelTable, apply_direct_kernel
+from .kernels import KernelTable, apply_direct_kernel, apply_exchange_kernel
 from .operators import fock_matrix, mean_field
 
 __all__ = [
@@ -192,9 +192,13 @@ def uhf_energy(
     return total_energy(config, orbitals, table)
 
 
-def _self_pair_matrix(table: KernelTable, l: int) -> np.ndarray:
-    """Kernel ``P = (2l+1) (2/max(r,s) - U_{ll})`` sampled on the grid."""
-    return (2 * l + 1) * (2.0 * table.direct - table.exchange(l, l))
+def _self_pair_apply(table: KernelTable, l: int, dens: np.ndarray) -> np.ndarray:
+    """``P (w dens)`` for ``P = (2l+1) (2/max(r,s) - U_{ll})``, in O(n)."""
+    grid = table.grid
+    return (2 * l + 1) * (
+        2.0 * apply_direct_kernel(grid, dens)
+        - apply_exchange_kernel(table, l, l, grid.weights * dens)
+    )
 
 
 def decompose_shell(
@@ -235,11 +239,9 @@ def decompose_shell(
     single = 2.0 * c_i * np.real(fock.bilinear(f_i, f_i))
 
     dens = np.abs(f_i.values) ** 2
-    direct_ii = _pair_direct(grid, dens, dens)
-    exch_ii = _pair_exchange(
-        grid, f_i, f_i, table.exchange(config.shells[i].l, config.shells[i].l)
+    self_pair = c_i * float(
+        np.sum(grid.weights * dens * _self_pair_apply(table, config.shells[i].l, dens))
     )
-    self_pair = c_i * c_i * (2.0 * direct_ii - exch_ii)
     return ShellDecomposition(
         without=float(without), single_particle=float(single), self_pair=float(self_pair)
     )
@@ -308,11 +310,14 @@ def second_order_coefficient(
     h_hi_h = np.real(fock_i.bilinear(h, h))
     f_h_f = np.real(fock.bilinear(f_i, f_i))
 
-    pmat = _self_pair_matrix(table, l_i)
-    v = w * np.conj(h.values) * f_i.values
-    hh_ff = np.real(v @ pmat @ v)
-    fh_fh = np.real((w * np.abs(f_i.values) ** 2) @ pmat @ (w * np.abs(h.values) ** 2))
-    hf_fh = np.real(v @ pmat @ np.conj(v))
+    d = np.conj(h.values) * f_i.values
+    v = w * d
+    pv = _self_pair_apply(table, l_i, d)
+    hh_ff = np.real(v @ pv)
+    fh_fh = np.real(
+        (w * np.abs(f_i.values) ** 2) @ _self_pair_apply(table, l_i, np.abs(h.values) ** 2)
+    )
+    hf_fh = np.real(v @ np.conj(pv))
 
     return 2.0 * c_i * float(h_hi_h - lam * f_h_f + hh_ff + fh_fh + hf_fh)
 

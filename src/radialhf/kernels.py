@@ -27,8 +27,10 @@ and the panel layout refines around the near-singular scale
 ``|r - s| / sqrt(2 r s)``.
 
 A :class:`KernelTable` holds the kernels sampled on a grid as dense
-matrices.  Applying the direct kernel to a density never needs the dense
-matrix: prefix sums give the same trapezoidal sum in O(n).
+matrices.  Applying a kernel never needs them: each term
+``r_<^k / r_>^(k+1)`` is semiseparable, so two prefix sums give the same
+product in O(n) per ``k`` (the ``Y^k`` functions of Froese Fischer,
+*The Hartree-Fock Method for Atoms*, 1977).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import CoefficientTable, legendre_p
+from .angular import CoefficientTable, build_coefficient_table, legendre_p
 from .grid import RadialGrid
 
 __all__ = [
@@ -50,6 +52,8 @@ __all__ = [
     "KernelTable",
     "build_kernel_table",
     "apply_direct_kernel",
+    "apply_exchange_kernel",
+    "exchange_band",
     "save_kernel_table",
     "load_kernel_table",
 ]
@@ -191,13 +195,16 @@ class KernelTable:
 
     ``direct[i, j] = 1/max(r_i, r_j)`` and ``exchange(l, lp)[i, j] =
     U_{l lp}(r_i, r_j)``.  Matrices are stored once per unordered pair
-    ``(l, lp)``; access canonicalizes the order.  Immutable.
+    ``(l, lp)``; access canonicalizes the order.  ``coeffs`` are the
+    angular coefficients the table was built from, which
+    :func:`apply_exchange_kernel` reads.  Immutable.
     """
 
     grid: RadialGrid
     max_l: int
     direct: np.ndarray
     _exchange: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    coeffs: CoefficientTable = field(repr=False)
 
     def exchange(self, l: int, lp: int) -> np.ndarray:
         """Sampled exchange kernel matrix ``U_{l lp}``."""
@@ -267,7 +274,25 @@ def build_kernel_table(
                 acc += coeffs.coeff(l, lp, k) * power
                 power = power * ratio2
             exchange[(l, lp)] = acc * direct
-    return KernelTable(grid=grid, max_l=max_l, direct=direct, _exchange=exchange)
+    return KernelTable(
+        grid=grid, max_l=max_l, direct=direct, _exchange=exchange, coeffs=coeffs
+    )
+
+
+def _apply_multipole(r: np.ndarray, k: int, y: np.ndarray) -> np.ndarray:
+    """``sum_j r_<^k / r_>^(k+1) y_j`` along axis 0, in O(n) per column.
+
+    Terms with ``r_j <= r_i`` give ``r_i^-(k+1) cumsum(r^k y)``; terms
+    with ``r_j > r_i`` give ``r_i^k`` times the strict reverse cumsum
+    of ``r^-(k+1) y``.
+    """
+    shape = (-1,) + (1,) * (y.ndim - 1)
+    p = (r**k).reshape(shape)
+    s = (r ** (k + 1)).reshape(shape)
+    tail = np.cumsum((y / s)[::-1], axis=0)[::-1]
+    outside = np.zeros_like(tail)
+    outside[:-1] = tail[1:]
+    return np.cumsum(p * y, axis=0) / s + p * outside
 
 
 def apply_direct_kernel(grid: RadialGrid, density: np.ndarray) -> np.ndarray:
@@ -276,21 +301,52 @@ def apply_direct_kernel(grid: RadialGrid, density: np.ndarray) -> np.ndarray:
     Computes ``V(r_i) = sum_j w_j rho(r_j) / max(r_i, r_j)`` — the same
     trapezoidal sum as a dense ``direct`` matrix-vector product — via two
     cumulative sums: the charge enclosed below ``r_i`` divided by ``r_i``
-    plus the ``1/s``-weighted charge above.
+    plus the ``1/s``-weighted charge above.  A complex density (such as
+    an overlap density ``conj(f) g``) gives a complex potential.
     """
-    density = np.asarray(density, dtype=float)
+    density = np.asarray(density)
     if density.shape != (grid.n,):
         raise ValueError(
             f"density shape {density.shape} does not match grid n = {grid.n}"
         )
-    charge = grid.weights * density
-    inside = np.cumsum(charge)
-    outer_terms = charge / grid.points
-    tail = np.cumsum(outer_terms[::-1])[::-1]
-    outside = np.empty_like(tail)
-    outside[:-1] = tail[1:]
-    outside[-1] = 0.0
-    return inside / grid.points + outside
+    return _apply_multipole(grid.points, 0, grid.weights * density)
+
+
+def apply_exchange_kernel(
+    table: KernelTable, l: int, lp: int, y: np.ndarray
+) -> np.ndarray:
+    """``table.exchange(l, lp) @ y`` in O(n k) without the dense matrix.
+
+    ``y`` is a vector or a block of columns (axis 0 runs over the grid),
+    real or complex.
+    """
+    if max(l, lp) > table.max_l:
+        raise ValueError(
+            f"kernel table built for l <= {table.max_l}, requested (l={l}, lp={lp})"
+        )
+    y = np.asarray(y)
+    if y.shape[0] != table.grid.n:
+        raise ValueError(
+            f"input shape {y.shape} does not match grid n = {table.grid.n}"
+        )
+    r = table.grid.points
+    out = 0.0
+    for k in table.coeffs.k_range(l, lp):
+        out = out + table.coeffs.coeff(l, lp, k) * _apply_multipole(r, k, y)
+    return out
+
+
+def exchange_band(table: KernelTable, l: int, lp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and first off-diagonal of ``table.exchange(l, lp)``, in O(n k)."""
+    r = table.grid.points
+    ratio = r[:-1] / r[1:]
+    diag = np.zeros_like(r)
+    off = np.zeros_like(ratio)
+    for k in table.coeffs.k_range(l, lp):
+        w2 = table.coeffs.coeff(l, lp, k)
+        diag += w2 / r
+        off += w2 * ratio**k / r[1:]
+    return diag, off
 
 
 _CACHE_MAGIC = b"RHFKTBL1"
@@ -359,4 +415,10 @@ def load_kernel_table(path: str | Path, grid: RadialGrid) -> KernelTable:
         for l in range(max_l + 1):
             for lp in range(l, max_l + 1):
                 exchange[(l, lp)] = read_array(n * n).reshape(n, n)
-    return KernelTable(grid=grid, max_l=max_l, direct=direct, _exchange=exchange)
+    return KernelTable(
+        grid=grid,
+        max_l=max_l,
+        direct=direct,
+        _exchange=exchange,
+        coeffs=build_coefficient_table(max_l),
+    )

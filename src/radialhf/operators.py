@@ -11,13 +11,21 @@ to grid functions ``f = u / sqrt(w)`` with quadrature norm 1, and
 matches the energy module's forms exactly because both sides are built
 from the same jump stencil and trapezoidal weights.  On a uniform grid
 ``B`` is literally the familiar second-difference matrix plus diagonal
-potentials (minus the dense exchange part).
+potentials (minus the exchange part).
 
 Channel structure: :func:`mean_field` reduces the shell orbitals to a
-density and per-``(spin, l)`` density matrices; :func:`fock_matrix`
-builds ``-d^2 + l(l+1)/r^2 - Z/r + s U - K_l`` from any such field, with
-spin factor ``s`` (2 restricted, 1 unrestricted: ``U`` carries both
-spins and exchange runs over same-spin shells only).
+density and per-``(spin, l)`` density matrices, each kept as factors
+``(V, c)`` with ``Gamma = V diag(c) V^H``; :func:`fock_matrix` builds
+``-d^2 + l(l+1)/r^2 - Z/r + s U - K_l`` from any such field, with spin
+factor ``s`` (2 restricted, 1 unrestricted: ``U`` carries both spins and
+exchange runs over same-spin shells only).
+
+A :class:`FockMatrix` never stores ``B``: it keeps the tridiagonal local
+part and the exchange factors, and :meth:`FockMatrix.apply` multiplies
+by ``B`` in O(n) per factor column through the semiseparable kernel
+apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs a dense
+symmetric solver at or below the dense cutoff and preconditioned LOBPCG
+on ``apply`` above it.
 """
 
 from __future__ import annotations
@@ -27,11 +35,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .configuration import ALPHA, BETA, Configuration
 from .grid import RadialFunction, RadialGrid
-from .kernels import KernelTable, apply_direct_kernel
+from .kernels import (
+    KernelTable,
+    apply_direct_kernel,
+    apply_exchange_kernel,
+    exchange_band,
+)
 
 __all__ = [
     "EigensolverError",
@@ -43,39 +55,140 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-# Above this size, dense eigendecomposition gives way to shift-invert
-# Lanczos with a Cholesky factorization.
+# Above this size, dense eigendecomposition gives way to LOBPCG on the
+# matrix-free operator.
 DENSE_CUTOFF = 2500
 
 _RESIDUAL_FACTOR = 1e-10
+# LOBPCG stops when each wanted residual is below this fraction of
+# ||T| |x||, the scale of the rounding error of the product with the local
+# part, so that iterative and dense eigenpairs drive the self-consistent
+# loop alike.  |B|_inf is no such scale on exponential grids: there a
+# target of 1e-13 |B|_inf (~1e-6 for argon at n = 600) left the solve
+# unconverged after 500 iterations.
+_LOBPCG_FACTOR = 1e-13
+_LOBPCG_MAXITER = 500
+# Extra block vectors beyond the wanted pairs.  On Ne, Ar, F- and H- SCF
+# runs (uniform and exponential grids) 5 took 0.55x the time of none and
+# 0.75x that of 3, with helium at n = 2600 unchanged; the wanted pairs
+# converge with none too, only more slowly.
+_GUARD = 5
+# Relative singular value below which a new search direction counts as
+# dependent on the others.
+_DEPENDENT = 1e-10
+
+# Density-matrix factors (V, c): Gamma = V diag(c) V^H.
+Factors = tuple[np.ndarray, np.ndarray]
 
 
 class EigensolverError(RuntimeError):
     """Eigensolver failed to meet its residual contract."""
 
 
+def _exchange_apply(
+    table: KernelTable, l: int, lp: int, V: np.ndarray, c: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``(Gamma o U_{l lp}) x`` for ``Gamma = V diag(c) V^H`` and a block ``x``."""
+    n, m = x.shape
+    rank = V.shape[1]
+    z = (np.conj(V)[:, :, None] * x[:, None, :]).reshape(n, rank * m)
+    uz = apply_exchange_kernel(table, l, lp, z).reshape(n, rank, m)
+    return np.einsum("na,a,nam->nm", V, c, uz)
+
+
 @dataclass(frozen=True, eq=False)
 class FockMatrix:
-    """A symmetric one-channel operator matrix with its context.
+    """A symmetric one-channel operator in the weighted representation.
 
-    ``matrix`` is ``n x n`` real symmetric in the weighted representation
-    described in the module docstring.  ``Z`` is kept because it yields a
-    rigorous spectral lower bound ``-Z^2/4`` (up to discretization) used
-    to place the shift of the iterative eigensolver.
+    ``B = T + beta (I - O O^T) - sum_{l'} Gamma_{l'} o U_{l l'}``, where
+    ``T`` is tridiagonal (``diag``, ``off``: the kinetic stencil, the
+    centrifugal and nuclear terms and the direct potential), ``beta`` a
+    level shift away from the occupied vectors ``O``, and each exchange
+    term holds the factors ``(V, c)`` of a density matrix.  ``Z`` is kept
+    because it yields the spectral lower bound ``-Z^2/4`` (up to
+    discretization) that places the eigensolver's preconditioner shift.
     """
 
     grid: RadialGrid
     l: int
     Z: float
-    matrix: np.ndarray
-    label: str = "fock"
+    diag: np.ndarray
+    off: np.ndarray
+    table: KernelTable | None = None
+    exchange: tuple[tuple[int, np.ndarray, np.ndarray], ...] = ()
+    level_shift: float = 0.0
+    occupied: np.ndarray | None = None
+
+    @property
+    def local_diag(self) -> np.ndarray:
+        """Diagonal of the tridiagonal part, level shift included."""
+        return self.diag + self.level_shift
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``B x`` for a vector or a block of columns, real or complex."""
+        x = np.asarray(x)
+        block = x.reshape(self.grid.n, -1)
+        off = self.off[:, None]
+        y = self.local_diag[:, None] * block
+        y[:-1] += off * block[1:]
+        y[1:] += off * block[:-1]
+        for lp, V, c in self.exchange:
+            y = y - _exchange_apply(self.table, self.l, lp, V, c, block)
+        if self.level_shift:
+            O = self.occupied
+            y = y - self.level_shift * (O @ (O.T @ block))
+        return y.reshape(x.shape)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``n x n`` matrix ``B``, built on each access."""
+        n = self.grid.n
+        dtype = np.result_type(*(V for _, V, _ in self.exchange), float)
+        mat = np.zeros((n, n), dtype=dtype)
+        idx = np.arange(n)
+        mat[idx, idx] = self.local_diag
+        mat[idx[:-1], idx[:-1] + 1] = self.off
+        mat[idx[:-1] + 1, idx[:-1]] = self.off
+        for lp, V, c in self.exchange:
+            mat -= ((V * c) @ np.conj(V).T) * self.table.exchange(self.l, lp)
+        if self.level_shift:
+            mat -= self.level_shift * (self.occupied @ self.occupied.T)
+        return mat
+
+    def norm_lower_bound(self) -> float:
+        """A lower bound on ``|B|_inf`` in O(n) per factor column.
+
+        Row ``i`` of ``|B|`` sums to at least ``sum_band |B_ij| +
+        |sum_rest B_ij|``: the tridiagonal band is computed exactly, and
+        the rest of the row, read off ``B 1``, enters through its sum.
+        The bound is exact when a row's entries off the band share one
+        sign, as for a single nodeless orbital.
+        """
+        dtype = np.result_type(*(V for _, V, _ in self.exchange), float)
+        diag = self.local_diag.astype(dtype)
+        off = self.off.astype(dtype)
+        for lp, V, c in self.exchange:
+            u_diag, u_off = exchange_band(self.table, self.l, lp)
+            diag -= (np.abs(V) ** 2 @ c) * u_diag
+            off -= ((V[:-1] * c) * np.conj(V[1:])).sum(axis=1) * u_off
+        if self.level_shift:
+            O = self.occupied
+            diag -= self.level_shift * np.sum(O**2, axis=1)
+            off -= self.level_shift * np.sum(O[:-1] * O[1:], axis=1)
+        rest = self.apply(np.ones(self.grid.n)) - diag
+        rest[:-1] -= off
+        rest[1:] -= np.conj(off)
+        rows = np.abs(diag) + np.abs(rest)
+        rows[:-1] += np.abs(off)
+        rows[1:] += np.abs(off)
+        return float(np.max(rows))
 
     def bilinear(self, p: RadialFunction, q: RadialFunction):
         """``<p| H |q>`` for two grid functions; complex for complex inputs."""
         if not (p.grid.matches(self.grid) and q.grid.matches(self.grid)):
             raise ValueError("function lives on a different grid")
         sq = np.sqrt(self.grid.weights)
-        val = np.conj(sq * p.values) @ self.matrix @ (sq * q.values)
+        val = np.conj(sq * p.values) @ self.apply(sq * q.values)
         return complex(val) if np.iscomplexobj(val) else float(val)
 
 
@@ -86,7 +199,7 @@ def _check_positive_charge(Z: float) -> float:
 
 
 def hydrogenic_matrix(grid: RadialGrid, l: int, Z: float) -> FockMatrix:
-    """Bare one-electron matrix ``-d^2/dr^2 + l(l+1)/r^2 - Z/r``.
+    """Bare one-electron operator ``-d^2/dr^2 + l(l+1)/r^2 - Z/r``.
 
     Eigenvalues approximate ``-Z^2/(4 n^2)`` for ``n >= l + 1`` to
     second order in the spacing.
@@ -94,30 +207,25 @@ def hydrogenic_matrix(grid: RadialGrid, l: int, Z: float) -> FockMatrix:
     Z = _check_positive_charge(Z)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    n = grid.n
     w = grid.weights
-    gaps = grid.spacings
-    inv = 1.0 / gaps
-    diag = (inv[:-1] + inv[1:]) / w
+    inv = 1.0 / grid.spacings
+    diag = (inv[:-1] + inv[1:]) / w + l * (l + 1) / grid.points**2 - Z / grid.points
     off = -inv[1:-1] / np.sqrt(w[:-1] * w[1:])
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = diag + l * (l + 1) / grid.points**2 - Z / grid.points
-    mat[idx[:-1], idx[:-1] + 1] = off
-    mat[idx[:-1] + 1, idx[:-1]] = off
-    return FockMatrix(grid=grid, l=l, Z=Z, matrix=mat, label="hydrogenic")
+    return FockMatrix(grid=grid, l=l, Z=Z, diag=diag, off=off)
 
 
 def mean_field(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
     drop: int | None = None,
-) -> tuple[np.ndarray, dict[tuple[str | None, int], np.ndarray]]:
+) -> tuple[np.ndarray, dict[tuple[str | None, int], Factors]]:
     """Density ``rho = sum_j c_j |f_j|^2`` and per-channel density matrices.
 
-    ``gammas[(spin, l)] = sum_j c_j u_j u_j^*`` with ``u_j = sqrt(w) f_j``,
-    so they are already symmetrized.  ``drop`` leaves shell ``drop`` out,
-    giving the mean field of ``config.drop_shell(drop)``.
+    ``gammas[(spin, l)] = (V, c)`` factors ``Gamma = sum_j c_j u_j u_j^*
+    = V diag(c) V^H`` with columns ``u_j = sqrt(w) f_j``, so the density
+    matrices are already symmetrized and never formed.  ``drop`` leaves
+    shell ``drop`` out, giving the mean field of
+    ``config.drop_shell(drop)``.
     """
     if not orbitals or len(orbitals) != config.n_shells:
         raise ValueError(
@@ -126,18 +234,17 @@ def mean_field(
     grid = orbitals[0].grid
     sq = np.sqrt(grid.weights)
     rho = np.zeros(grid.n)
-    gammas: dict[tuple[str | None, int], np.ndarray] = {}
+    gammas: dict[tuple[str | None, int], Factors] = {}
     for key, shell_idx in config.channels().items():
         kept = [i for i in shell_idx if i != drop]
         if not kept:
             continue
-        gamma = 0.0
         for i in kept:
-            c = config.shell_weight(i)
-            rho += c * np.abs(orbitals[i].values) ** 2
-            u = sq * orbitals[i].values
-            gamma = gamma + c * np.outer(u, u.conj())
-        gammas[key] = gamma
+            rho += config.shell_weight(i) * np.abs(orbitals[i].values) ** 2
+        gammas[key] = (
+            np.column_stack([sq * orbitals[i].values for i in kept]),
+            np.array([config.shell_weight(i) for i in kept], dtype=float),
+        )
     return rho, gammas
 
 
@@ -146,9 +253,9 @@ def fock_matrix(
     config: Configuration,
     key: tuple[str | None, int],
     rho: np.ndarray,
-    gammas: Mapping[tuple[str | None, int], np.ndarray],
+    gammas: Mapping[tuple[str | None, int], Factors],
 ) -> FockMatrix:
-    """Fock matrix of channel ``key = (spin, l)`` in a mean field.
+    """Fock operator of channel ``key = (spin, l)`` in a mean field.
 
     ``rho`` and ``gammas`` come from :func:`mean_field` or mix such
     fields; exchange takes the density matrices of the channel's spin.
@@ -156,15 +263,19 @@ def fock_matrix(
     spin, l = key
     if spin not in ((None,) if config.model == "rhf" else (ALPHA, BETA)):
         raise ValueError(f"channel {key} does not match model {config.model!r}")
-    grid = table.grid
-    dtype = np.result_type(*gammas.values(), float)
-    mat = hydrogenic_matrix(grid, l, config.Z).matrix.astype(dtype, copy=False)
-    idx = np.arange(grid.n)
-    mat[idx, idx] += config.spin_factor * apply_direct_kernel(grid, rho)
-    for (spin_j, l_j), gamma in gammas.items():
-        if spin_j == spin:
-            mat -= gamma * table.exchange(l, l_j)
-    return FockMatrix(grid=grid, l=l, Z=config.Z, matrix=mat, label=spin or "rhf")
+    bare = hydrogenic_matrix(table.grid, l, config.Z)
+    exchange = tuple(
+        (l_j, V, c) for (spin_j, l_j), (V, c) in gammas.items() if spin_j == spin
+    )
+    return FockMatrix(
+        grid=table.grid,
+        l=l,
+        Z=config.Z,
+        diag=bare.diag + config.spin_factor * apply_direct_kernel(table.grid, rho),
+        off=bare.off,
+        table=table,
+        exchange=exchange,
+    )
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -176,54 +287,130 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _orthonormal_complement(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the part of ``span(Y)`` orthogonal to ``X``.
+
+    ``X`` has orthonormal columns.  Directions that are numerically
+    dependent on ``X`` or on each other are dropped.
+    """
+    for _ in range(2):
+        Y = Y - X @ (np.conj(X).T @ Y)
+    scale = np.linalg.norm(Y, axis=0)
+    Y = Y[:, scale > 0.0] / scale[scale > 0.0]
+    if not Y.shape[1]:
+        return Y
+    U, sv, _ = np.linalg.svd(Y, full_matrices=False)
+    U = U[:, sv > _DEPENDENT * sv[0]]
+    return U - X @ (np.conj(X).T @ U)
+
+
+def _lobpcg(
+    fock: FockMatrix, count: int, start: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest pairs by LOBPCG on :meth:`FockMatrix.apply`.
+
+    The block carries ``_GUARD`` vectors beyond ``count``, which speed up
+    the last wanted pair when the spectrum above it is dense (diffuse or
+    unbound levels in a wide box); only the wanted pairs must converge,
+    each to ``_LOBPCG_FACTOR`` times the rounding scale ``||T| |x||``.
+    Each step applies the operator to the orthonormalized preconditioned
+    residuals and previous directions, and a Rayleigh-Ritz step on
+    ``[X, W, P]`` gives the next block.
+    """
+    n = fock.grid.n
+    size = min(count + _GUARD, n)
+    sigma = -0.25 * fock.Z**2 - 1.0
+    banded = np.zeros((2, n))
+    banded[0] = fock.local_diag - sigma
+    banded[1, :-1] = fock.off
+    try:
+        chol = sla.cholesky_banded(banded, lower=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise EigensolverError(
+            f"shift {sigma} is not below the spectrum: {exc}"
+        ) from exc
+    _, X = sla.eigh_tridiagonal(
+        fock.diag, fock.off, select="i", select_range=(0, size - 1)
+    )
+    if start is not None:
+        X = np.hstack([start, X[:, count:]])
+    X = _orthonormal_complement(np.zeros((n, 0)), X)
+    BX = fock.apply(X)
+    P = np.zeros((n, 0), dtype=X.dtype)
+    for _ in range(_LOBPCG_MAXITER):
+        theta, C = np.linalg.eigh(np.conj(X).T @ BX)
+        X, BX = X @ C, BX @ C
+        R = BX - X * theta
+        x = np.abs(X[:, :count])
+        scale = np.abs(fock.local_diag)[:, None] * x
+        scale[:-1] += np.abs(fock.off)[:, None] * x[1:]
+        scale[1:] += np.abs(fock.off)[:, None] * x[:-1]
+        tol = _LOBPCG_FACTOR * np.linalg.norm(scale, axis=0)
+        if np.all(np.linalg.norm(R[:, :count], axis=0) <= tol):
+            break
+        W = sla.cho_solve_banded((chol, True), R, check_finite=False)
+        Q = _orthonormal_complement(X, np.hstack([W, P]))
+        if not Q.shape[1]:
+            break  # no new direction: the block cannot improve
+        S = np.hstack([X, Q])
+        BS = np.hstack([BX, fock.apply(Q)])
+        G = np.conj(S).T @ BS
+        theta, C = np.linalg.eigh(0.5 * (G + np.conj(G).T))
+        C = C[:, :X.shape[1]]
+        P = Q @ C[X.shape[1]:]
+        X, BX = S @ C, BS @ C
+    return theta[:count], X[:, :count]
+
+
 def lowest_eigenpairs(
     fock: FockMatrix,
     count: int,
     dense_cutoff: int = DENSE_CUTOFF,
+    start: Sequence[RadialFunction] | None = None,
 ) -> tuple[np.ndarray, list[RadialFunction]]:
-    """The ``count`` lowest eigenvalues and eigenfunctions of a Fock matrix.
+    """The ``count`` lowest eigenvalues and eigenfunctions of a Fock operator.
 
     Eigenfunctions are returned as grid functions, orthonormal in the
     quadrature inner product; eigenvalues ascend, with degenerate pairs
     ordered by position and their eigenvectors orthonormalized (no
-    simplicity assumption).  Below ``dense_cutoff`` a dense symmetric
-    solver computes the subset directly; above it, shift-invert Lanczos
-    with a Cholesky factorization, shifted safely below the spectrum by
-    the ``-Z^2/4`` bound.
+    simplicity assumption).  A tridiagonal operator (no exchange, no
+    level shift) goes to a tridiagonal solver at any size.  Otherwise, at
+    or below ``dense_cutoff`` a dense symmetric solver computes the
+    subset from :attr:`FockMatrix.matrix`; above it, LOBPCG (Knyazev,
+    SIAM J. Sci. Comput. 23, 517, 2001) works on :meth:`FockMatrix.apply`
+    alone, preconditioned by the tridiagonal part shifted below the
+    spectrum by the ``-Z^2/4`` bound and solved in O(n).  LOBPCG starts
+    from ``start`` (``count`` functions, such as the previous iteration's
+    eigenfunctions) or else from the tridiagonal part's lowest
+    eigenvectors.
 
     Raises
     ------
     EigensolverError
-        If a residual ``|B u - e u|`` exceeds ``1e-10 |B|_inf``.
+        If a residual ``|B u - e u|`` exceeds ``1e-10`` times a lower
+        bound on ``|B|_inf``, or if the shifted tridiagonal part is not
+        positive definite.
     """
     n = fock.grid.n
     if not 1 <= count <= n - 2:
         raise ValueError(f"count must be in [1, {n - 2}], got {count}")
-    B = fock.matrix
-    if n <= dense_cutoff:
-        eps, vecs = sla.eigh(B, subset_by_index=(0, count - 1), driver="evr")
-    else:
-        sigma = -0.25 * fock.Z**2 - 1.0
-        shifted = B - sigma * np.eye(n)
-        try:
-            chol = sla.cho_factor(shifted, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise EigensolverError(
-                f"shift {sigma} is not below the spectrum: {exc}"
-            ) from exc
-        op = LinearOperator(
-            (n, n), matvec=lambda x: sla.cho_solve(chol, x, check_finite=False)
+    if start is not None and len(start) != count:
+        raise ValueError(f"start holds {len(start)} functions, expected {count}")
+    sq = np.sqrt(fock.grid.weights)
+    bound = _RESIDUAL_FACTOR * fock.norm_lower_bound()
+    if not fock.exchange and not fock.level_shift:
+        eps, vecs = sla.eigh_tridiagonal(
+            fock.diag, fock.off, select="i", select_range=(0, count - 1)
         )
-        mu, vecs = eigsh(op, k=count, which="LM", v0=np.ones(n))
-        eps = sigma + 1.0 / mu
-        order = np.argsort(eps)
-        eps = eps[order]
-        vecs = vecs[:, order]
-        # Lanczos orthonormality is only approximate for tight clusters.
-        vecs, _ = np.linalg.qr(vecs)
+    elif n <= dense_cutoff:
+        eps, vecs = sla.eigh(
+            fock.matrix, subset_by_index=(0, count - 1), driver="evr"
+        )
+    else:
+        x0 = None if start is None else np.column_stack([sq * f.values for f in start])
+        eps, vecs = _lobpcg(fock, count, x0)
 
-    bound = _RESIDUAL_FACTOR * float(np.linalg.norm(B, np.inf))
-    resid = B @ vecs - vecs * eps[np.newaxis, :]
+    resid = fock.apply(vecs) - vecs * eps[np.newaxis, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
     if worst > bound:
         raise EigensolverError(
@@ -231,7 +418,7 @@ def lowest_eigenpairs(
             f"(n = {n}, count = {count})"
         )
     vecs = _fix_signs(np.array(vecs))
-    inv_sqrt_w = 1.0 / np.sqrt(fock.grid.weights)
+    inv_sqrt_w = 1.0 / sq
     funcs = [
         RadialFunction(fock.grid, vecs[:, j] * inv_sqrt_w) for j in range(count)
     ]

@@ -2,7 +2,8 @@
 
 The solver is a damped Roothaan fixed point.  State consists of the
 accepted shell orbitals plus a mean field (a density vector for the
-direct potential and per-channel density matrices for exchange).  Each
+direct potential and per-channel density matrices for exchange, kept as
+low-rank factors).  Each
 iteration diagonalizes the channel Fock matrices built from the mean
 field, occupies the lowest eigenfunctions, and evaluates the exact
 energy functional at the proposed orbitals:
@@ -46,6 +47,8 @@ from .grid import RadialFunction, RadialGrid, make_grid
 from .kernels import KernelTable, build_kernel_table
 from .operators import (
     DENSE_CUTOFF,
+    EigensolverError,
+    Factors,
     fock_matrix,
     hydrogenic_matrix,
     lowest_eigenpairs,
@@ -71,7 +74,7 @@ __all__ = [
 ]
 
 ChannelKey = tuple[str | None, int]
-MeanField = tuple[np.ndarray, dict[ChannelKey, np.ndarray]]
+MeanField = tuple[np.ndarray, dict[ChannelKey, Factors]]
 
 
 @dataclass(frozen=True)
@@ -188,30 +191,52 @@ def _diagonalize_all(
     table: KernelTable,
     config: Configuration,
     rho: np.ndarray,
-    gammas: Mapping[ChannelKey, np.ndarray],
+    gammas: Mapping[ChannelKey, Factors],
     occupied_u: Mapping[ChannelKey, np.ndarray] | None,
     level_shift: float,
     dense_cutoff: int,
+    start: Mapping[ChannelKey, tuple[np.ndarray, Sequence[RadialFunction]]],
 ) -> dict[ChannelKey, tuple[np.ndarray, list[RadialFunction]]]:
     out = {}
     for key, shell_idx in config.channels().items():
         fock = fock_matrix(table, config, key, rho, gammas)
-        mat = fock.matrix
         if level_shift > 0.0 and occupied_u is not None:
             u = occupied_u.get(key)
             if u is not None and u.size:
-                mat = mat + level_shift * (np.eye(mat.shape[0]) - u @ u.T)
-                fock = replace(fock, matrix=mat)
-        out[key] = lowest_eigenpairs(fock, len(shell_idx), dense_cutoff)
+                fock = replace(fock, level_shift=level_shift, occupied=u)
+        out[key] = lowest_eigenpairs(
+            fock, len(shell_idx), dense_cutoff, start=start[key][1]
+        )
     return out
 
 
+# Mixed density-matrix factors keep the directions whose weight exceeds
+# this fraction of the largest.
+_COMPRESS_CUTOFF = 1e-14
+
+
+def _compress(V: np.ndarray, c: np.ndarray) -> Factors:
+    """Orthonormal factors of ``V diag(c) V^H`` by QR and a small ``eigh``."""
+    Q, R = np.linalg.qr(V)
+    lam, W = np.linalg.eigh((R * c) @ np.conj(R).T)
+    keep = lam > _COMPRESS_CUTOFF * lam.max(initial=0.0)
+    return Q @ W[:, keep], lam[keep]
+
+
 def _mix(field: MeanField, target: MeanField, alpha: float) -> MeanField:
-    """``(1 - alpha) field + alpha target``, density and density matrices alike."""
+    """``(1 - alpha) field + alpha target``, density and density matrices alike.
+
+    The mixed density matrices stay factored: the two fields' factors
+    are stacked and compressed, so their rank is that of the mixture.
+    """
     (rho, gammas), (rho_t, gammas_t) = field, target
-    return (1.0 - alpha) * rho + alpha * rho_t, {
-        key: (1.0 - alpha) * gammas[key] + alpha * gammas_t[key] for key in gammas
-    }
+    mixed = {}
+    for key, (V, c) in gammas.items():
+        V_t, c_t = gammas_t[key]
+        mixed[key] = _compress(
+            np.hstack([V, V_t]), np.concatenate([(1.0 - alpha) * c, alpha * c_t])
+        )
+    return (1.0 - alpha) * rho + alpha * rho_t, mixed
 
 
 def _occupied_vectors(
@@ -243,12 +268,12 @@ def _residuals(
     sq = np.sqrt(table.grid.weights)
     res = np.zeros(config.n_shells)
     for key, shell_idx in config.channels().items():
-        mat = fock_matrix(table, config, key, rho, gammas).matrix
-        for i in shell_idx:
-            if orbitals[i].norm() <= 0.5:
-                continue
-            u = sq * np.real(orbitals[i].values)
-            res[i] = float(np.linalg.norm(mat @ u - eigenvalues[i] * u))
+        occupied = [i for i in shell_idx if orbitals[i].norm() > 0.5]
+        if not occupied:
+            continue
+        u = np.column_stack([sq * np.real(orbitals[i].values) for i in occupied])
+        fock = fock_matrix(table, config, key, rho, gammas)
+        res[occupied] = np.linalg.norm(fock.apply(u) - u * eigenvalues[occupied], axis=0)
     return res
 
 
@@ -262,7 +287,9 @@ def solve(
 
     Returns the final state whether or not it converged; ``converged``
     and ``message`` report the outcome, never an exception, so callers
-    can inspect a stalled state.
+    can inspect a stalled state.  An eigensolver failure ends the
+    iteration with the last accepted state and the message
+    ``eigensolver failed: <detail>``.
     """
     options = options or ScfOptions()
     if grid is None:
@@ -273,102 +300,123 @@ def solve(
         raise ValueError("kernel table was built for a different grid")
     channels = config.channels()
 
-    # Hydrogenic start: exact in the one-electron limit, deterministic.
-    init_pairs = {
-        key: lowest_eigenpairs(
-            hydrogenic_matrix(grid, key[1], config.Z),
-            len(shell_idx),
-            options.dense_cutoff,
-        )
-        for key, shell_idx in channels.items()
-    }
-    occ = occupy(config, init_pairs, options.tol_zero)
-    orbitals = occ.orbitals
-    eigenvalues = occ.eigenvalues
-    marginal = occ.marginal
-    breakdown = total_energy(config, orbitals, table)
-    energy = breakdown.total
-    trace = [energy]
-
-    field = mean_field(config, orbitals)
-    alpha = options.damping
-    beta = options.level_shift
     rejections = 0
-    clean_streak = 0
     converged = False
     message = ""
     iterations = 0
-
-    for iterations in range(1, options.max_iter + 1):
-        occupied_u = _occupied_vectors(config, orbitals, grid) if beta > 0 else None
-        pairs = _diagonalize_all(
-            table, config, *field, occupied_u, beta, options.dense_cutoff
-        )
-        occ_new = occupy(config, pairs, options.tol_zero)
-        bd_new = total_energy(config, occ_new.orbitals, table)
-        e_new = bd_new.total
-        tol_up = 1e-10 * (1.0 + abs(energy))
-        delta = energy - e_new
-
-        if e_new <= energy + tol_up:
-            orbitals = occ_new.orbitals
-            eigenvalues = occ_new.eigenvalues
-            marginal = occ_new.marginal
-            breakdown = bd_new
-            energy = e_new
-            trace.append(energy)
-            field = _mix(field, mean_field(config, orbitals), alpha)
-            clean_streak += 1
-            if beta > 0 and clean_streak >= 3:
-                beta *= 0.5
-                if beta < 1e-3:
-                    beta = 0.0
-            if clean_streak >= 4:
-                alpha = min(0.9, 1.5 * alpha)
-            if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
-                res = _residuals(table, config, orbitals, eigenvalues)
-                if float(res.max(initial=0.0)) <= options.tol_residual:
-                    converged = True
-                    break
-        else:
-            rejections += 1
-            clean_streak = 0
-            alpha *= 0.5
-            if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
-                res = _residuals(table, config, orbitals, eigenvalues)
-                if float(res.max(initial=0.0)) <= options.tol_residual:
-                    converged = True
-                    message = "converged at an energy plateau"
-                    break
-            if alpha < 1e-5:
-                message = "stalled: damping floor reached without energy decrease"
-                break
-            # Mix a small (and shrinking) amount of the rejected proposal
-            # into the mean field: re-proposing from an unchanged field
-            # would just reproduce the rejection, whereas bisecting the
-            # segment between the accepted field and the proposal finds a
-            # step size whose energy does descend.
-            field = _mix(field, mean_field(config, occ_new.orbitals), alpha)
-            if rejections % 3 == 0:
-                beta = max(1.0, 2.0 * beta)
-    else:
-        message = f"did not converge in {options.max_iter} iterations"
-
-    if converged:
-        # Undamped polish: make the occupied orbitals eigenfunctions of
-        # the Fock matrices built from the converged state itself.
-        pairs = _diagonalize_all(
-            table, config, *mean_field(config, orbitals), None, 0.0, options.dense_cutoff
-        )
-        occ_fin = occupy(config, pairs, options.tol_zero)
-        orbitals = occ_fin.orbitals
-        eigenvalues = occ_fin.eigenvalues
-        marginal = occ_fin.marginal
+    trace: list[float] = []
+    orbitals = None
+    try:
+        # Hydrogenic start: exact in the one-electron limit, deterministic.
+        pairs = {
+            key: lowest_eigenpairs(
+                hydrogenic_matrix(grid, key[1], config.Z),
+                len(shell_idx),
+                options.dense_cutoff,
+            )
+            for key, shell_idx in channels.items()
+        }
+        occ = occupy(config, pairs, options.tol_zero)
+        orbitals = occ.orbitals
+        eigenvalues = occ.eigenvalues
+        marginal = occ.marginal
         breakdown = total_energy(config, orbitals, table)
         energy = breakdown.total
         trace.append(energy)
-        if not message:
-            message = "converged"
+
+        field = mean_field(config, orbitals)
+        alpha = options.damping
+        beta = options.level_shift
+        clean_streak = 0
+
+        for iterations in range(1, options.max_iter + 1):
+            occupied_u = _occupied_vectors(config, orbitals, grid) if beta > 0 else None
+            # The previous eigenfunctions warm-start the iterative solver.
+            pairs = _diagonalize_all(
+                table, config, *field, occupied_u, beta, options.dense_cutoff, pairs
+            )
+            occ_new = occupy(config, pairs, options.tol_zero)
+            bd_new = total_energy(config, occ_new.orbitals, table)
+            e_new = bd_new.total
+            tol_up = 1e-10 * (1.0 + abs(energy))
+            delta = energy - e_new
+
+            if e_new <= energy + tol_up:
+                orbitals = occ_new.orbitals
+                eigenvalues = occ_new.eigenvalues
+                marginal = occ_new.marginal
+                breakdown = bd_new
+                energy = e_new
+                trace.append(energy)
+                field = _mix(field, mean_field(config, orbitals), alpha)
+                clean_streak += 1
+                if beta > 0 and clean_streak >= 3:
+                    beta *= 0.5
+                    if beta < 1e-3:
+                        beta = 0.0
+                if clean_streak >= 4:
+                    alpha = min(0.9, 1.5 * alpha)
+                if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
+                    res = _residuals(table, config, orbitals, eigenvalues)
+                    if float(res.max(initial=0.0)) <= options.tol_residual:
+                        converged = True
+                        break
+            else:
+                rejections += 1
+                clean_streak = 0
+                alpha *= 0.5
+                if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
+                    res = _residuals(table, config, orbitals, eigenvalues)
+                    if float(res.max(initial=0.0)) <= options.tol_residual:
+                        converged = True
+                        message = "converged at an energy plateau"
+                        break
+                if alpha < 1e-5:
+                    message = "stalled: damping floor reached without energy decrease"
+                    break
+                # Mix a small (and shrinking) amount of the rejected proposal
+                # into the mean field: re-proposing from an unchanged field
+                # would just reproduce the rejection, whereas bisecting the
+                # segment between the accepted field and the proposal finds a
+                # step size whose energy does descend.
+                field = _mix(field, mean_field(config, occ_new.orbitals), alpha)
+                if rejections % 3 == 0:
+                    beta = max(1.0, 2.0 * beta)
+        else:
+            message = f"did not converge in {options.max_iter} iterations"
+
+        if converged:
+            # Undamped polish: make the occupied orbitals eigenfunctions of
+            # the Fock matrices built from the converged state itself.
+            pairs = _diagonalize_all(
+                table,
+                config,
+                *mean_field(config, orbitals),
+                None,
+                0.0,
+                options.dense_cutoff,
+                pairs,
+            )
+            occ_fin = occupy(config, pairs, options.tol_zero)
+            orbitals = occ_fin.orbitals
+            eigenvalues = occ_fin.eigenvalues
+            marginal = occ_fin.marginal
+            breakdown = total_energy(config, orbitals, table)
+            energy = breakdown.total
+            trace.append(energy)
+            if not message:
+                message = "converged"
+    except EigensolverError as exc:
+        # Report the last accepted state; before the hydrogenic start is
+        # occupied that is the empty one.
+        converged = False
+        message = f"eigensolver failed: {exc}"
+        if orbitals is None:
+            orbitals = tuple(_zero_function(grid) for _ in config.shells)
+            eigenvalues = np.zeros(config.n_shells)
+            marginal = (False,) * config.n_shells
+            breakdown = total_energy(config, orbitals, table)
+            trace.append(breakdown.total)
 
     residuals = _residuals(table, config, orbitals, eigenvalues)
     norms = np.array([f.norm() for f in orbitals])

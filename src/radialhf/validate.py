@@ -51,6 +51,7 @@ from .grid import (
 )
 from .kernels import (
     apply_direct_kernel,
+    apply_exchange_kernel,
     build_kernel_table,
     load_kernel_table,
     oracle_u_kernel,
@@ -356,6 +357,19 @@ def _kernel_checks() -> list[CheckResult]:
         )
     )
 
+    y = np.exp(-g.points)[:, None] * rng.standard_normal((g.n, 2)) * np.array([1.0, 1.0j])
+    err = 0.0
+    for l in range(3):
+        for lp in range(3):
+            dense = table.exchange(l, lp) @ y
+            fast = apply_exchange_kernel(table, l, lp, y)
+            err = max(err, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
+    out.append(
+        _bounded(
+            "kernels/exchange-apply", err, 1e-13, "prefix sums vs dense table, l, l' <= 2"
+        )
+    )
+
     fd, path = tempfile.mkstemp(suffix=".ktbl")
     os.close(fd)
     try:
@@ -492,6 +506,24 @@ def _operator_checks() -> list[CheckResult]:
         _ok("operators/exchange-below-direct", "0 <= <f,Kf> <= <f,Uf> on 30 samples")
         if bad is None
         else _fail("operators/exchange-below-direct", bad)
+    )
+
+    gi = make_grid("uniform", 600, 20.0)
+    ti = build_kernel_table(gi, coeffs, max_l=1)
+    _, vecsi = lowest_eigenpairs(hydrogenic_matrix(gi, 0, 2.0), 1)
+    focki = fock_matrix(ti, cfg, (None, 0), *mean_field(cfg, vecsi))
+    eps_d, vecs_d = lowest_eigenpairs(focki, 2)
+    eps_i, vecs_i = lowest_eigenpairs(focki, 2, dense_cutoff=100)
+    err = float(np.max(np.abs(eps_i - eps_d)))
+    for a, b in zip(vecs_i, vecs_d):
+        err = max(err, abs(abs(float(np.sum(gi.weights * a.values * b.values))) - 1.0))
+    out.append(
+        _bounded(
+            "operators/iterative-vs-dense",
+            err,
+            1e-9,
+            "LOBPCG vs dense pairs with exchange, n = 600",
+        )
     )
 
     return out

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from radialhf import ScfOptions
+from radialhf import EigensolverError, ScfOptions, scf
 from radialhf.cli import ConfigError, load_config, main
 
 HELIUM = {
@@ -214,6 +214,26 @@ def test_non_convergence_exits_1_with_diagnostics(tmp_path, capsys):
     with open(tmp_path / "stuck.orbitals.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["r", "f0_l0", "f1_l0", "f2_l1", "density"]
+
+
+def test_eigensolver_failure_exits_1_with_diagnostics(tmp_path, capsys, monkeypatch):
+    real = scf.lowest_eigenpairs
+    calls = []
+
+    def fail_on_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise EigensolverError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scf, "lowest_eigenpairs", fail_on_third)
+    path = write_config(tmp_path, HELIUM, "broken.json")
+    assert main(["solve", str(path)]) == 1
+    assert "NOT converged" in capsys.readouterr().out
+    result = json.loads((tmp_path / "broken.result.json").read_text())
+    assert result["converged"] is False
+    assert result["message"] == "eigensolver failed: injected failure"
+    assert (tmp_path / "broken.orbitals.csv").is_file()
 
 
 def test_cli_byte_determinism(tmp_path):

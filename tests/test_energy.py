@@ -13,7 +13,9 @@ from radialhf import (
     ShellSpec,
     decompose_shell,
     first_order_coefficient,
+    fock_matrix,
     lower_bound,
+    mean_field,
     rhf_energy,
     second_order_coefficient,
     total_energy,
@@ -211,6 +213,35 @@ def test_second_order_taylor_remainder(grid300, table300, rng, lam, complex_phas
         e_d = rhf_energy(config, pert, table300).total
         remainders.append(abs(e_d - e0 - d * c1 - d * d * c2))
     assert remainders[0] / max(remainders[1], 1e-18) >= 7.0
+
+
+@pytest.mark.parametrize("complex_phase", [False, True])
+def test_self_pair_terms_match_dense_kernel(grid300, table300, rng, complex_phase):
+    # the O(n) kernel apply against the sampled P = (2l+1)(2/max - U_ll)
+    config = Configuration(
+        Z=5.0, model="rhf", shells=(ShellSpec(0), ShellSpec(1), ShellSpec(1))
+    )
+    orbs = random_orbital_set(rng, grid300, config)
+    w = grid300.weights
+    for i, lam in ((0, 1.0), (2, 0.0)):
+        l_i, c_i, f_i = config.shells[i].l, config.shell_weight(i), orbs[i]
+        h = _normalized_direction(grid300, rng, l=l_i, complex_phase=complex_phase)
+        pmat = c_i * (2.0 * table300.direct - table300.exchange(l_i, l_i))
+        v = w * np.conj(h.values) * f_i.values
+        a = w * np.abs(f_i.values) ** 2
+        fock_i = fock_matrix(table300, config, (None, l_i), *mean_field(config, orbs, drop=i))
+        fock = fock_matrix(table300, config, (None, l_i), *mean_field(config, orbs))
+        expected = 2.0 * c_i * (
+            fock_i.bilinear(h, h).real
+            - lam * fock.bilinear(f_i, f_i).real
+            + (v @ pmat @ v).real
+            + (a @ pmat @ (w * np.abs(h.values) ** 2)).real
+            + (v @ pmat @ np.conj(v)).real
+        )
+        got = second_order_coefficient(config, orbs, table300, i, h, lam)
+        assert got == pytest.approx(expected, rel=1e-12)
+        self_pair = decompose_shell(config, orbs, table300, i).self_pair
+        assert self_pair == pytest.approx(c_i * (a @ pmat @ a), rel=1e-12)
 
 
 def test_second_order_with_zero_direction(grid300, table300, rng):

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from radialhf import (
     Configuration,
+    EigensolverError,
+    FockMatrix,
     RadialFunction,
     ShellSpec,
     apply_direct_kernel,
+    build_coefficient_table,
+    build_kernel_table,
     coulomb_expectation,
     derivative_sq_norm,
     fock_matrix,
@@ -105,13 +111,81 @@ def test_sign_convention_deterministic(coarse_hydrogen):
 
 
 def test_iterative_solver_matches_dense():
+    # helium-like operator with exchange above the dense cutoff: LOBPCG,
+    # cold and warm-started, against the dense solver
     g = make_grid("uniform", 2600, 30.0)
-    fock = hydrogenic_matrix(g, 0, 2.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 2)
+    fock = fock_matrix(table, config, (None, 0), *mean_field(config, hydro[:1]))
     eps_iter, vecs_iter = lowest_eigenpairs(fock, 2)  # above the dense cutoff
+    eps_warm, vecs_warm = lowest_eigenpairs(fock, 2, start=hydro)
     eps_dense, vecs_dense = lowest_eigenpairs(fock, 2, dense_cutoff=4000)
     np.testing.assert_allclose(eps_iter, eps_dense, atol=1e-9)
-    for a, b in zip(vecs_iter, vecs_dense):
-        assert abs(abs(inner(a, b)) - 1.0) < 1e-9
+    np.testing.assert_allclose(eps_warm, eps_dense, atol=1e-9)
+    for a, b, c in zip(vecs_iter, vecs_warm, vecs_dense):
+        assert abs(abs(inner(a, c)) - 1.0) < 1e-9
+        assert abs(abs(inner(b, c)) - 1.0) < 1e-9
+
+
+def test_failed_preconditioner_raises():
+    # a local part far below -Z^2/4 - 1 cannot be factored
+    g = make_grid("uniform", 300, 10.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    bare = hydrogenic_matrix(g, 0, 1.0)
+    v = np.sqrt(g.weights) * g.points * np.exp(-g.points)
+    fock = FockMatrix(
+        grid=g, l=0, Z=1.0, diag=bare.diag - 50.0, off=bare.off, table=table,
+        exchange=((0, v[:, None], np.ones(1)),),
+    )
+    with pytest.raises(EigensolverError):
+        lowest_eigenpairs(fock, 1, dense_cutoff=100)
+
+
+@pytest.fixture(scope="module")
+def neon_like_focks(table400):
+    g = table400.grid
+    rng = np.random.default_rng(43)
+    config = Configuration(
+        Z=10.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1), ShellSpec(2))
+    )
+    orbitals = [random_orbital(rng, g, sh.l) for sh in config.shells]
+    # a complex 2s gives the s channel complex density-matrix factors
+    orbitals[1] = RadialFunction(g, orbitals[1].values * np.exp(0.3j * g.points))
+    rho, gammas = mean_field(config, orbitals)
+    occupied, _ = np.linalg.qr(rng.standard_normal((g.n, 2)))
+    focks = []
+    for key in ((None, 0), (None, 1), (None, 2)):
+        fock = fock_matrix(table400, config, key, rho, gammas)
+        focks += [fock, replace(fock, level_shift=0.7, occupied=occupied)]
+    return focks
+
+
+def test_fock_apply_matches_matrix(neon_like_focks):
+    g = neon_like_focks[0].grid
+    rng = np.random.default_rng(47)
+    block = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
+    for fock in neon_like_focks:
+        mat = fock.matrix
+        for x in (block.real[:, 0], block[:, 1], block.real, block):
+            dense = mat @ x
+            assert np.linalg.norm(fock.apply(x) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_norm_lower_bound(neon_like_focks, table400):
+    # where the bound is exact, the two sides differ by rounding only
+    for fock in neon_like_focks:
+        assert fock.norm_lower_bound() <= np.linalg.norm(fock.matrix, np.inf) * (1 + 1e-14)
+    # one nodeless orbital: every entry off the band is negative, and the
+    # bound is the norm itself
+    g = table400.grid
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    f = random_orbital(np.random.default_rng(53), g, 0, norm_value=1.0)
+    fock = fock_matrix(table400, config, (None, 0), *mean_field(config, [f]))
+    u = (np.sqrt(g.weights) * f.values)[:, None]
+    for op in (fock, replace(fock, level_shift=0.7, occupied=u)):
+        exact = np.linalg.norm(op.matrix, np.inf)
+        assert exact * (1.0 - 1e-6) <= op.norm_lower_bound() <= exact * (1 + 1e-14)
 
 
 def test_lowest_eigenpairs_rejects_bad_count(coarse_hydrogen):
@@ -194,7 +268,8 @@ def test_mean_field_drop_equals_dropped_configuration(table400):
         np.testing.assert_array_equal(rho, rho_ref)
         assert gammas.keys() == gammas_ref.keys()
         for key in gammas:
-            np.testing.assert_array_equal(gammas[key], gammas_ref[key])
+            for factor, factor_ref in zip(gammas[key], gammas_ref[key]):
+                np.testing.assert_array_equal(factor, factor_ref)
 
 
 def test_operator_chain_exchange_below_direct(table400):

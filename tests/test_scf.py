@@ -7,6 +7,7 @@ import pytest
 
 from radialhf import (
     Configuration,
+    EigensolverError,
     RadialFunction,
     ScfOptions,
     ShellSpec,
@@ -25,6 +26,8 @@ from radialhf import (
     solve,
     theorem_report,
 )
+from radialhf import scf
+from util import random_orbital
 
 # Values produced by tests/oracle_helium.py, an independent fine-grid
 # solver for the same functional (see that file); frozen 2026-08-16.
@@ -217,6 +220,86 @@ def test_non_convergence_is_reported_not_raised():
     assert state.message != ""
     assert len(state.energy_trace) >= 1
     assert np.isfinite(state.energy)
+
+
+def test_factored_mix_equals_dense_mix(table400):
+    g = table400.grid
+    rng = np.random.default_rng(59)
+    config = Configuration(
+        Z=6.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1))
+    )
+
+    def dense(gammas):
+        return {key: (V * c) @ V.conj().T for key, (V, c) in gammas.items()}
+
+    field = mean_field(config, [random_orbital(rng, g, sh.l) for sh in config.shells])
+    expected = dense(field[1])
+    for alpha in (0.3, 0.15, 0.6, 0.45):
+        target = mean_field(config, [random_orbital(rng, g, sh.l) for sh in config.shells])
+        field = scf._mix(field, target, alpha)
+        expected = {
+            key: (1 - alpha) * gamma + alpha * dense(target[1])[key]
+            for key, gamma in expected.items()
+        }
+        for key, gamma in dense(field[1]).items():
+            assert np.max(np.abs(gamma - expected[key])) <= 1e-13 * np.max(np.abs(expected[key]))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        Configuration(Z=10.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1))),
+        Configuration(
+            Z=3.0,
+            model="uhf",
+            shells=(ShellSpec(0, "alpha"), ShellSpec(0, "beta"), ShellSpec(0, "alpha")),
+        ),
+    ],
+    ids=["neon-rhf", "lithium-uhf"],
+)
+def test_iterative_path_matches_dense_solve(config):
+    # the cutoff lowered below n sends every eigensolve with exchange to LOBPCG
+    grid = make_grid("exponential", 400, 30.0)
+    dense = solve(config, grid)
+    iterative = solve(config, grid, options=ScfOptions(dense_cutoff=100))
+    assert dense.converged and iterative.converged
+    assert iterative.energy == pytest.approx(dense.energy, rel=1e-10)
+    assert (iterative.iterations, iterative.rejections) == (dense.iterations, dense.rejections)
+
+
+def test_eigensolver_failure_is_reported_not_raised(monkeypatch, he_config):
+    grid = make_grid("uniform", 400, 10.0)
+    reference = solve(he_config, grid, options=ScfOptions(max_iter=2))
+    real = scf.lowest_eigenpairs
+    calls = []
+
+    def fail_after(limit):
+        def eigenpairs(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > limit:
+                raise EigensolverError("injected failure")
+            return real(*args, **kwargs)
+
+        return eigenpairs
+
+    # the hydrogenic start and two iterations run; the third iteration fails
+    # and the state accepted by the second is returned
+    monkeypatch.setattr(scf, "lowest_eigenpairs", fail_after(3))
+    state = solve(he_config, grid)
+    assert not state.converged
+    assert state.message == "eigensolver failed: injected failure"
+    assert state.iterations == 3
+    assert state.energy_trace == reference.energy_trace
+    np.testing.assert_array_equal(state.orbitals[0].values, reference.orbitals[0].values)
+
+    # a failure at the hydrogenic start leaves the empty state
+    calls.clear()
+    monkeypatch.setattr(scf, "lowest_eigenpairs", fail_after(0))
+    empty = solve(he_config, grid)
+    assert not empty.converged
+    assert empty.message == "eigensolver failed: injected failure"
+    assert empty.energy == 0.0
+    assert empty.norms.tolist() == [0.0]
 
 
 def test_solve_rejects_foreign_table(he_config, he_table):
