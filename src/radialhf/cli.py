@@ -391,11 +391,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        table = build_kernel_table(grid, build_coefficient_table(config.max_l))
-    except MemoryError as exc:
-        print(f"config error: grid: {exc}", file=sys.stderr)
-        return 2
+    table = build_kernel_table(grid, build_coefficient_table(config.max_l))
     state = solve(config, grid, table, options)
     scale, unit_name = _unit_scale(args.units)
 

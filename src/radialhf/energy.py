@@ -114,12 +114,6 @@ def _pair_direct(grid, dens_a: np.ndarray, dens_b: np.ndarray) -> float:
     return float(np.sum(grid.weights * dens_a * apply_direct_kernel(grid, dens_b)))
 
 
-def _pair_exchange(grid, f: RadialFunction, g: RadialFunction, u_matrix) -> float:
-    """``Int conj(f)(r) conj(g)(s) U(r,s) g(r) f(s) dr ds`` (real, >= 0)."""
-    a = grid.weights * np.conj(f.values) * g.values
-    return float(np.real(a @ u_matrix @ np.conj(a)))
-
-
 def total_energy(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
@@ -149,22 +143,23 @@ def total_energy(
         rho += c * np.abs(f.values) ** 2
     direct = 0.5 * s * s * _pair_direct(grid, rho, rho)
 
-    pairs = 0.0
+    # Same-spin pairs: Int conj(f_j)(r) conj(f_k)(s) U(r,s) f_k(r) f_j(s)
+    # is a U conj(a) with a = w conj(f_j) f_k; one kernel apply per (l, l')
+    # takes all pair densities of that block.
+    blocks: dict[tuple[int, int], tuple[list, list]] = {}
     for spin in (None, ALPHA, BETA):
         idx = [j for j, sh in enumerate(config.shells) if sh.spin == spin]
-        for a, j in enumerate(idx):
-            for k in idx[a:]:
-                x = (
-                    weights[j]
-                    * weights[k]
-                    * _pair_exchange(
-                        grid,
-                        orbitals[j],
-                        orbitals[k],
-                        table.exchange(config.shells[j].l, config.shells[k].l),
-                    )
-                )
-                pairs += x if k == j else 2.0 * x
+        for pos, j in enumerate(idx):
+            for k in idx[pos:]:
+                l, lp = sorted((config.shells[j].l, config.shells[k].l))
+                cols, factors = blocks.setdefault((l, lp), ([], []))
+                cols.append(grid.weights * np.conj(orbitals[j].values) * orbitals[k].values)
+                factors.append(weights[j] * weights[k] * (1.0 if k == j else 2.0))
+    pairs = 0.0
+    for (l, lp), (cols, factors) in blocks.items():
+        a = np.column_stack(cols)
+        u_a = apply_exchange_kernel(table, l, lp, np.conj(a))
+        pairs += float(np.dot(factors, np.real(np.sum(a * u_a, axis=0))))
     return EnergyBreakdown(
         kinetic=kinetic, attraction=attraction, direct=direct, exchange=0.5 * s * pairs
     )

@@ -26,8 +26,9 @@ the inverse-square-root endpoint singularity that appears at ``r = s``,
 and the panel layout refines around the near-singular scale
 ``|r - s| / sqrt(2 r s)``.
 
-A :class:`KernelTable` holds the kernels sampled on a grid as dense
-matrices.  Applying a kernel never needs them: each term
+A :class:`KernelTable` samples the kernels on a grid as dense matrices,
+each built on its first access, so a table holds no n x n array until
+something asks for one.  Applying a kernel never needs them: each term
 ``r_<^k / r_>^(k+1)`` is semiseparable, so two prefix sums give the same
 product in O(n) per ``k`` (the ``Y^k`` functions of Froese Fischer,
 *The Hartree-Fock Method for Atoms*, 1977).
@@ -189,33 +190,92 @@ def oracle_u_kernel(
     return fine
 
 
+# Rows per block when a dense matrix is filled: the block temporaries
+# stay near 1 MiB whatever the grid size.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _direct_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows of ``1/max(r, s)`` at radii ``rows``."""
+    return 1.0 / np.maximum.outer(rows, r)
+
+
+def _exchange_rows(
+    rows: np.ndarray, r: np.ndarray, coeffs: CoefficientTable, l: int, lp: int
+) -> np.ndarray:
+    """Rows of ``U_{l lp}`` (``l <= lp``) at radii ``rows``, term by term in ``k``."""
+    r_hi = np.maximum.outer(rows, r)
+    ratio = np.minimum.outer(rows, r) / r_hi
+    ratio2 = ratio * ratio
+    acc = np.zeros_like(ratio)
+    power = ratio ** (lp - l)
+    for k in range(lp - l, l + lp + 1, 2):
+        acc += coeffs.coeff(l, lp, k) * power
+        power = power * ratio2
+    return acc * (1.0 / r_hi)
+
+
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Interaction kernels sampled on a grid as dense symmetric matrices.
+    """Interaction kernels on a grid, sampled as dense matrices on demand.
 
     ``direct[i, j] = 1/max(r_i, r_j)`` and ``exchange(l, lp)[i, j] =
-    U_{l lp}(r_i, r_j)``.  Matrices are stored once per unordered pair
-    ``(l, lp)``; access canonicalizes the order.  ``coeffs`` are the
-    angular coefficients the table was built from, which
-    :func:`apply_exchange_kernel` reads.  Immutable.
+    U_{l lp}(r_i, r_j)``.  The table holds only the grid, ``max_l`` and
+    the angular ``coeffs`` (which :func:`apply_exchange_kernel` reads);
+    each dense matrix is built on its first access, a block of rows at a
+    time, and cached, once per unordered pair ``(l, lp)``.  The first
+    access checks that the whole table fits in ``max_bytes``.
     """
 
     grid: RadialGrid
     max_l: int
-    direct: np.ndarray
-    _exchange: dict[tuple[int, int], np.ndarray] = field(repr=False)
     coeffs: CoefficientTable = field(repr=False)
+    max_bytes: int = field(default=4 << 30, repr=False)
+    _dense: dict[object, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def direct(self) -> np.ndarray:
+        """Sampled direct kernel matrix ``1/max(r, s)``."""
+        return self._matrix("direct")
 
     def exchange(self, l: int, lp: int) -> np.ndarray:
         """Sampled exchange kernel matrix ``U_{l lp}``."""
-        key = (l, lp) if l <= lp else (lp, l)
-        try:
-            return self._exchange[key]
-        except KeyError:
+        if not (0 <= l <= self.max_l and 0 <= lp <= self.max_l):
             raise ValueError(
                 f"kernel table built for l <= {self.max_l}, requested "
                 f"(l={l}, lp={lp})"
-            ) from None
+            )
+        key = (l, lp) if l <= lp else (lp, l)
+        return self._matrix(key)
+
+    def _matrix(self, key) -> np.ndarray:
+        try:
+            return self._dense[key]
+        except KeyError:
+            pass
+        n = self.grid.n
+        n_pairs = (self.max_l + 1) * (self.max_l + 2) // 2
+        required = (n_pairs + 1) * n * n * 8
+        if required > self.max_bytes:
+            raise MemoryError(
+                f"kernel table for n = {n}, max_l = {self.max_l} requires "
+                f"{required} bytes ({required / 2**30:.2f} GiB), over the "
+                f"budget of {self.max_bytes} bytes"
+            )
+        r = self.grid.points
+        mat = np.empty((n, n))
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for i in range(0, n, step):
+            rows = r[i : i + step]
+            mat[i : i + step] = (
+                _direct_rows(rows, r)
+                if key == "direct"
+                else _exchange_rows(rows, r, self.coeffs, *key)
+            )
+        self._dense[key] = mat
+        return mat
 
 
 def build_kernel_table(
@@ -224,7 +284,7 @@ def build_kernel_table(
     max_l: int | None = None,
     max_bytes: int = 4 << 30,
 ) -> KernelTable:
-    """Sample the direct and exchange kernels on a grid.
+    """Kernel table for a grid; its dense matrices are built on access.
 
     Parameters
     ----------
@@ -234,13 +294,12 @@ def build_kernel_table(
     max_l : int, optional
         Largest angular momentum needed (default: ``coeffs.max_l``).
     max_bytes : int, optional
-        Memory budget for the dense matrices.
+        Memory budget for the dense matrices.  The first dense access
+        raises :class:`MemoryError`, stating the required size, if the
+        whole table would exceed it.
 
     Raises
     ------
-    MemoryError
-        If the table would exceed ``max_bytes``; the message states the
-        required size.
     ValueError
         If ``max_l`` exceeds the coefficient table's range.
     """
@@ -250,33 +309,7 @@ def build_kernel_table(
         raise ValueError(
             f"coefficient table covers l <= {coeffs.max_l}, requested {max_l}"
         )
-    n = grid.n
-    n_pairs = (max_l + 1) * (max_l + 2) // 2
-    required = (n_pairs + 1) * n * n * 8
-    if required > max_bytes:
-        raise MemoryError(
-            f"kernel table for n = {n}, max_l = {max_l} requires "
-            f"{required} bytes ({required / 2**30:.2f} GiB), over the "
-            f"budget of {max_bytes} bytes"
-        )
-    r = grid.points
-    r_lo = np.minimum.outer(r, r)
-    r_hi = np.maximum.outer(r, r)
-    direct = 1.0 / r_hi
-    ratio = r_lo / r_hi
-    ratio2 = ratio * ratio
-    exchange: dict[tuple[int, int], np.ndarray] = {}
-    for l in range(max_l + 1):
-        for lp in range(l, max_l + 1):
-            acc = np.zeros_like(direct)
-            power = ratio ** (lp - l)
-            for k in range(lp - l, l + lp + 1, 2):
-                acc += coeffs.coeff(l, lp, k) * power
-                power = power * ratio2
-            exchange[(l, lp)] = acc * direct
-    return KernelTable(
-        grid=grid, max_l=max_l, direct=direct, _exchange=exchange, coeffs=coeffs
-    )
+    return KernelTable(grid=grid, max_l=max_l, coeffs=coeffs, max_bytes=max_bytes)
 
 
 def _apply_multipole(r: np.ndarray, k: int, y: np.ndarray) -> np.ndarray:
@@ -356,6 +389,9 @@ _CACHE_VERSION = 1
 def save_kernel_table(table: KernelTable, path: str | Path) -> None:
     """Write a kernel table to a little-endian binary cache file.
 
+    Builds (and caches) every dense matrix of the table that is not yet
+    built.
+
     Layout: magic (8 bytes), version (u32), n (u64), max_l (u32),
     grid SHA-256 (32 bytes), then float64 arrays in order: points,
     weights, direct matrix, exchange matrices for ``l <= lp`` in
@@ -410,15 +446,11 @@ def load_kernel_table(path: str | Path, grid: RadialGrid) -> KernelTable:
 
         read_array(n)  # points (already verified through the hash)
         read_array(n)  # weights
-        direct = read_array(n * n).reshape(n, n)
-        exchange: dict[tuple[int, int], np.ndarray] = {}
+        table = KernelTable(
+            grid=grid, max_l=max_l, coeffs=build_coefficient_table(max_l)
+        )
+        table._dense["direct"] = read_array(n * n).reshape(n, n)
         for l in range(max_l + 1):
             for lp in range(l, max_l + 1):
-                exchange[(l, lp)] = read_array(n * n).reshape(n, n)
-    return KernelTable(
-        grid=grid,
-        max_l=max_l,
-        direct=direct,
-        _exchange=exchange,
-        coeffs=build_coefficient_table(max_l),
-    )
+                table._dense[(l, lp)] = read_array(n * n).reshape(n, n)
+    return table

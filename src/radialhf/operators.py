@@ -305,17 +305,17 @@ def _orthonormal_complement(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _lobpcg(
-    fock: FockMatrix, count: int, start: np.ndarray | None
+    fock: FockMatrix, count: int, start: np.ndarray | None, tol: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest pairs by LOBPCG on :meth:`FockMatrix.apply`.
 
     The block carries ``_GUARD`` vectors beyond ``count``, which speed up
     the last wanted pair when the spectrum above it is dense (diffuse or
     unbound levels in a wide box); only the wanted pairs must converge,
-    each to ``_LOBPCG_FACTOR`` times the rounding scale ``||T| |x||``.
-    Each step applies the operator to the orthonormalized preconditioned
-    residuals and previous directions, and a Rayleigh-Ritz step on
-    ``[X, W, P]`` gives the next block.
+    each to ``_LOBPCG_FACTOR`` times the rounding scale ``||T| |x||`` or
+    to ``tol``, whichever is smaller.  Each step applies the operator to
+    the orthonormalized preconditioned residuals and previous directions,
+    and a Rayleigh-Ritz step on ``[X, W, P]`` gives the next block.
     """
     n = fock.grid.n
     size = min(count + _GUARD, n)
@@ -345,8 +345,10 @@ def _lobpcg(
         scale = np.abs(fock.local_diag)[:, None] * x
         scale[:-1] += np.abs(fock.off)[:, None] * x[1:]
         scale[1:] += np.abs(fock.off)[:, None] * x[:-1]
-        tol = _LOBPCG_FACTOR * np.linalg.norm(scale, axis=0)
-        if np.all(np.linalg.norm(R[:, :count], axis=0) <= tol):
+        target = _LOBPCG_FACTOR * np.linalg.norm(scale, axis=0)
+        if tol is not None:
+            target = np.minimum(target, tol)
+        if np.all(np.linalg.norm(R[:, :count], axis=0) <= target):
             break
         W = sla.cho_solve_banded((chol, True), R, check_finite=False)
         Q = _orthonormal_complement(X, np.hstack([W, P]))
@@ -367,6 +369,7 @@ def lowest_eigenpairs(
     count: int,
     dense_cutoff: int = DENSE_CUTOFF,
     start: Sequence[RadialFunction] | None = None,
+    tol: float | None = None,
 ) -> tuple[np.ndarray, list[RadialFunction]]:
     """The ``count`` lowest eigenvalues and eigenfunctions of a Fock operator.
 
@@ -382,7 +385,9 @@ def lowest_eigenpairs(
     spectrum by the ``-Z^2/4`` bound and solved in O(n).  LOBPCG starts
     from ``start`` (``count`` functions, such as the previous iteration's
     eigenfunctions) or else from the tridiagonal part's lowest
-    eigenvectors.
+    eigenvectors, and stops once each residual is at the rounding scale
+    of the product with the tridiagonal part or, when given, below
+    ``tol``.
 
     Raises
     ------
@@ -408,7 +413,7 @@ def lowest_eigenpairs(
         )
     else:
         x0 = None if start is None else np.column_stack([sq * f.values for f in start])
-        eps, vecs = _lobpcg(fock, count, x0)
+        eps, vecs = _lobpcg(fock, count, x0, tol)
 
     resid = fock.apply(vecs) - vecs * eps[np.newaxis, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))

@@ -613,6 +613,36 @@ def _energy_checks() -> list[CheckResult]:
         _bounded("energy/phase-invariance", abs(e1 - e0), 1e-10, "orbital phase gauge")
     )
 
+    # Exchange energy by prefix sums against the dense kernel matrices:
+    # (s/2) sum_{j,k} c_j c_k a U conj(a) with a = w conj(f_j) f_k.
+    g_ne = make_grid("exponential", 600, 30.0)
+    t_ne = build_kernel_table(g_ne, build_coefficient_table(1))
+    cfg_ne = Configuration(
+        Z=10.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1))
+    )
+    orbs = _random_orbitals(cfg_ne, g_ne, rng)
+    orbs[2] = RadialFunction(g_ne, orbs[2].values * np.exp(0.4j * g_ne.points))
+    dense = 0.0
+    for j, sh_j in enumerate(cfg_ne.shells):
+        for k, sh_k in enumerate(cfg_ne.shells):
+            a = g_ne.weights * np.conj(orbs[j].values) * orbs[k].values
+            u = t_ne.exchange(sh_j.l, sh_k.l)
+            dense += (
+                cfg_ne.shell_weight(j)
+                * cfg_ne.shell_weight(k)
+                * float(np.real(a @ u @ np.conj(a)))
+            )
+    dense *= 0.5 * cfg_ne.spin_factor
+    fast = rhf_energy(cfg_ne, orbs, t_ne).exchange
+    out.append(
+        _bounded(
+            "energy/exchange-apply",
+            abs(fast - dense) / dense,
+            1e-13,
+            "prefix sums vs dense kernel, Ne at n = 600",
+        )
+    )
+
     cfg_r = Configuration(Z=4.0, model="rhf", shells=(ShellSpec(0), ShellSpec(1)))
     cfg_u = Configuration(
         Z=4.0,

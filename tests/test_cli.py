@@ -192,12 +192,15 @@ def test_solve_exit_2_on_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_solve_exit_2_when_grid_exceeds_memory_budget(tmp_path, capsys):
-    # the kernel-table budget check raises before anything is allocated
+def test_solve_converges_on_uniform_grid_n40000(tmp_path, capsys):
+    # above the dense cutoff nothing builds an n x n array (one would take
+    # 12.8 GB here), so a fine grid solves in O(n) memory
     doc = dict(HELIUM, grid={"kind": "uniform", "n": 40000, "r_max": 12.0})
-    path = write_config(tmp_path, doc)
-    assert main(["solve", str(path)]) == 2
-    assert "over the budget" in capsys.readouterr().err
+    path = write_config(tmp_path, doc, "fine.json")
+    assert main(["solve", str(path)]) == 0
+    assert "converged" in capsys.readouterr().out
+    result = json.loads((tmp_path / "fine.result.json").read_text())
+    assert result["converged"] is True
 
 
 def test_non_convergence_exits_1_with_diagnostics(tmp_path, capsys):

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from radialhf import (
+    ALPHA,
+    BETA,
     Configuration,
     RadialFunction,
     ShellSpec,
+    build_coefficient_table,
+    build_kernel_table,
     decompose_shell,
     first_order_coefficient,
     fock_matrix,
@@ -19,9 +23,15 @@ from radialhf import (
     rhf_energy,
     second_order_coefficient,
     total_energy,
+    make_grid,
     uhf_energy,
 )
-from util import random_config, random_orbital, random_orbital_set
+from util import (
+    dense_exchange_energy,
+    random_config,
+    random_orbital,
+    random_orbital_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +127,33 @@ def test_spin_paired_unrestricted_equals_restricted(grid300, table300, rng):
         e_r = rhf_energy(cfg_r, orbs, table300).total
         e_u = uhf_energy(cfg_u, orbs + orbs, table300).total
         assert e_u == pytest.approx(e_r, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+@pytest.mark.parametrize("model", ["rhf", "uhf"])
+def test_exchange_energy_matches_dense_form(kind, model):
+    # the prefix-sum pair sums equal sum w_j w_k a U conj(a) on complex,
+    # non-orthogonal orbitals, for every (l, l') <= 2
+    rng = np.random.default_rng(404)
+    g = make_grid(kind, 500, 25.0)
+    table = build_kernel_table(g, build_coefficient_table(2))
+    if model == "rhf":
+        shells = tuple(ShellSpec(l) for l in (0, 1, 2, 0))
+    else:
+        shells = tuple(ShellSpec(l, ALPHA) for l in (0, 1, 2)) + tuple(
+            ShellSpec(l, BETA) for l in (2, 0, 1, 1)
+        )
+    config = Configuration(Z=6.0, model=model, shells=shells)
+    for _ in range(3):
+        orbs = [
+            RadialFunction(
+                g, f.values * np.exp(1j * rng.uniform(-2, 2) * np.tanh(g.points))
+            )
+            for f in random_orbital_set(rng, g, config)
+        ]
+        dense = dense_exchange_energy(config, orbs, table)
+        assert dense > 0
+        assert abs(total_energy(config, orbs, table).exchange - dense) <= 1e-13 * dense
 
 
 def test_global_phase_invariance(grid300, table300, rng):

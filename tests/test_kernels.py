@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from radialhf import (
     save_kernel_table,
     u_kernel,
 )
+from util import eager_kernel_matrices
 
 KERNEL_PAIRS = [(l, lp) for l in range(5) for lp in range(l, 5)]
 
@@ -236,8 +239,50 @@ def test_loaded_table_applies_exchange(tmp_path, table400):
 
 def test_build_rejects_memory_overrun():
     g = make_grid("uniform", 400, 10.0)
+    table = build_kernel_table(g, build_coefficient_table(2), max_bytes=10_000)
     with pytest.raises(MemoryError):
-        build_kernel_table(g, build_coefficient_table(2), max_bytes=10_000)
+        table.exchange(0, 1)
+    with pytest.raises(MemoryError):
+        table.direct
+
+
+def test_build_allocates_no_dense_matrix():
+    g = make_grid("uniform", 40000, 12.0)
+    coeffs = build_coefficient_table(2)
+    tracemalloc.start()
+    try:
+        table = build_kernel_table(g, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.max_l == 2
+    assert peak < 5 * 2**20
+
+
+def test_lazy_exchange_peak_memory():
+    # one pair is built a block of rows at a time, never with a dozen
+    # n x n temporaries alive
+    g = make_grid("uniform", 1500, 12.0)
+    table = build_kernel_table(g, build_coefficient_table(2))
+    tracemalloc.start()
+    try:
+        table.exchange(1, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * g.n * g.n * 8
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+def test_lazy_matrices_equal_eager_formula(kind):
+    g = make_grid(kind, 700, 25.0)
+    coeffs = build_coefficient_table(4)
+    direct, exchange = eager_kernel_matrices(g, coeffs, 4)
+    table = build_kernel_table(g, coeffs)
+    for l, lp in KERNEL_PAIRS:
+        assert np.array_equal(table.exchange(lp, l), exchange[(l, lp)])
+        assert table.exchange(lp, l) is table.exchange(l, lp)  # cached once
+    assert np.array_equal(table.direct, direct)
 
 
 def test_table_cache_round_trip(tmp_path, table400):

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from radialhf import (
+    ALPHA,
+    BETA,
+    CoefficientTable,
     Configuration,
     KernelTable,
     RadialFunction,
@@ -89,3 +92,53 @@ def exchange_kernel(
     )
     sq = np.sqrt(table.grid.weights)
     return khat / np.outer(sq, sq)
+
+
+def eager_kernel_matrices(
+    grid: RadialGrid, coeffs: CoefficientTable, max_l: int
+) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Direct and exchange matrices built whole, all pairs at once.
+
+    The reference arithmetic for the lazy :class:`KernelTable`: every
+    element goes through the same operations in the same order.
+    """
+    r = grid.points
+    r_lo = np.minimum.outer(r, r)
+    r_hi = np.maximum.outer(r, r)
+    direct = 1.0 / r_hi
+    ratio = r_lo / r_hi
+    ratio2 = ratio * ratio
+    exchange = {}
+    for l in range(max_l + 1):
+        for lp in range(l, max_l + 1):
+            acc = np.zeros_like(direct)
+            power = ratio ** (lp - l)
+            for k in range(lp - l, l + lp + 1, 2):
+                acc += coeffs.coeff(l, lp, k) * power
+                power = power * ratio2
+            exchange[(l, lp)] = acc * direct
+    return direct, exchange
+
+
+def dense_exchange_energy(
+    config: Configuration, orbitals: list[RadialFunction], table: KernelTable
+) -> float:
+    """Exchange energy from the dense kernel matrices.
+
+    ``(s/2) sum_{j,k same spin} c_j c_k a U_{l_j l_k} conj(a)`` with
+    ``a = w conj(f_j) f_k``, one matrix product per ordered pair.
+    """
+    w = table.grid.weights
+    pairs = 0.0
+    for spin in (None, ALPHA, BETA):
+        idx = [j for j, sh in enumerate(config.shells) if sh.spin == spin]
+        for j in idx:
+            for k in idx:
+                a = w * np.conj(orbitals[j].values) * orbitals[k].values
+                u = table.exchange(config.shells[j].l, config.shells[k].l)
+                pairs += (
+                    config.shell_weight(j)
+                    * config.shell_weight(k)
+                    * float(np.real(a @ u @ np.conj(a)))
+                )
+    return 0.5 * config.spin_factor * pairs
