@@ -23,15 +23,16 @@ exchange runs over same-spin shells only).
 A :class:`FockMatrix` never stores ``B``: it keeps the tridiagonal local
 part and the exchange factors, and :meth:`FockMatrix.apply` multiplies
 by ``B`` in O(n) per factor column through the semiseparable kernel
-apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs a dense
-symmetric solver at or below the dense cutoff and preconditioned LOBPCG
-on ``apply`` above it.
+apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs one
+preconditioned LOBPCG for every operator with exchange or a level shift;
+the dense cutoff only selects how it applies ``B``: as one product with
+the dense matrix at or below it, through ``apply`` above it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,8 +56,8 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-# Above this size, dense eigendecomposition gives way to LOBPCG on the
-# matrix-free operator.
+# Above this size LOBPCG applies the matrix-free operator instead of
+# the dense matrix.
 DENSE_CUTOFF = 2500
 
 _RESIDUAL_FACTOR = 1e-10
@@ -76,6 +77,25 @@ _GUARD = 5
 # Relative singular value below which a new search direction counts as
 # dependent on the others.
 _DEPENDENT = 1e-10
+# The preconditioner shift sits max(_SHIFT_MARGIN |l0|, _SHIFT_FLOOR)
+# below l0, the lowest eigenvalue of the tridiagonal part.  Over SCF
+# solves of Ne (exponential n = 800), Ar (exponential n = 600), Li UHF
+# (exponential n = 600) and Ne (uniform n = 3000), LOBPCG took 250, 341,
+# 199 and 157 steps in all with this margin; margins from 0.005 to 0.3
+# |l0| stayed within 10 % of that, a margin of 0.001 took up to 31 % more
+# (Li: 261), max(|l0|, 0.5) up to 35 % more, and the former shift
+# -Z^2/4 - 1, far below the spectrum of multi-shell atoms, 605, 765, 313
+# and 270.  Iteration and rejection counts were the same for every margin.
+_SHIFT_MARGIN = 0.02
+_SHIFT_FLOOR = 0.05
+
+# Bytes of kernel input per chunk of the exchange apply, whose prefix
+# sums keep about seven arrays of that size alive.  A helium solve at
+# uniform n = 2600 passes at most 1.2 MiB (rank 5 times 12 columns), one
+# chunk.  At n = 40000 the same block is 9.2 MiB; applied whole it set
+# the solve's traced peak at 71 MiB, in chunks of 2 MiB it gives 47 MiB
+# (42.5 MiB is set elsewhere) and the solve runs no slower.
+_CHUNK_BYTES = 2 * 2**20
 
 # Density-matrix factors (V, c): Gamma = V diag(c) V^H.
 Factors = tuple[np.ndarray, np.ndarray]
@@ -88,12 +108,22 @@ class EigensolverError(RuntimeError):
 def _exchange_apply(
     table: KernelTable, l: int, lp: int, V: np.ndarray, c: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """``(Gamma o U_{l lp}) x`` for ``Gamma = V diag(c) V^H`` and a block ``x``."""
+    """``(Gamma o U_{l lp}) x`` for ``Gamma = V diag(c) V^H`` and a block ``x``.
+
+    The kernel applies to the ``rank * columns`` products ``conj(V) x``,
+    taken ``_CHUNK_BYTES`` at a time.
+    """
     n, m = x.shape
     rank = V.shape[1]
-    z = (np.conj(V)[:, :, None] * x[:, None, :]).reshape(n, rank * m)
-    uz = apply_exchange_kernel(table, l, lp, z).reshape(n, rank, m)
-    return np.einsum("na,a,nam->nm", V, c, uz)
+    dtype = np.result_type(V, x)
+    step = max(1, _CHUNK_BYTES // max(n * rank * dtype.itemsize, 1))
+    out = np.empty((n, m), dtype=dtype)
+    for j in range(0, m, step):
+        xj = x[:, j : j + step]
+        z = (np.conj(V)[:, :, None] * xj[:, None, :]).reshape(n, -1)
+        uz = apply_exchange_kernel(table, l, lp, z).reshape(n, rank, -1)
+        out[:, j : j + step] = np.einsum("na,a,nam->nm", V, c, uz)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +134,11 @@ class FockMatrix:
     ``T`` is tridiagonal (``diag``, ``off``: the kinetic stencil, the
     centrifugal and nuclear terms and the direct potential), ``beta`` a
     level shift away from the occupied vectors ``O``, and each exchange
-    term holds the factors ``(V, c)`` of a density matrix.  ``Z`` is kept
-    because it yields the spectral lower bound ``-Z^2/4`` (up to
-    discretization) that places the eigensolver's preconditioner shift.
+    term holds the factors ``(V, c)`` of a density matrix.
     """
 
     grid: RadialGrid
     l: int
-    Z: float
     diag: np.ndarray
     off: np.ndarray
     table: KernelTable | None = None
@@ -211,7 +238,7 @@ def hydrogenic_matrix(grid: RadialGrid, l: int, Z: float) -> FockMatrix:
     inv = 1.0 / grid.spacings
     diag = (inv[:-1] + inv[1:]) / w + l * (l + 1) / grid.points**2 - Z / grid.points
     off = -inv[1:-1] / np.sqrt(w[:-1] * w[1:])
-    return FockMatrix(grid=grid, l=l, Z=Z, diag=diag, off=off)
+    return FockMatrix(grid=grid, l=l, diag=diag, off=off)
 
 
 def mean_field(
@@ -270,7 +297,6 @@ def fock_matrix(
     return FockMatrix(
         grid=table.grid,
         l=l,
-        Z=config.Z,
         diag=bare.diag + config.spin_factor * apply_direct_kernel(table.grid, rho),
         off=bare.off,
         table=table,
@@ -305,9 +331,13 @@ def _orthonormal_complement(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _lobpcg(
-    fock: FockMatrix, count: int, start: np.ndarray | None, tol: float | None
+    fock: FockMatrix,
+    count: int,
+    start: np.ndarray | None,
+    tol: float | None,
+    apply: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest pairs by LOBPCG on :meth:`FockMatrix.apply`.
+    """Lowest pairs by LOBPCG on ``apply``, a product with ``B``.
 
     The block carries ``_GUARD`` vectors beyond ``count``, which speed up
     the last wanted pair when the spectrum above it is dense (diffuse or
@@ -315,11 +345,16 @@ def _lobpcg(
     each to ``_LOBPCG_FACTOR`` times the rounding scale ``||T| |x||`` or
     to ``tol``, whichever is smaller.  Each step applies the operator to
     the orthonormalized preconditioned residuals and previous directions,
-    and a Rayleigh-Ritz step on ``[X, W, P]`` gives the next block.
+    and a Rayleigh-Ritz step on ``[X, W, P]`` gives the next block.  The
+    preconditioner is the tridiagonal part ``T`` shifted just below its
+    own lowest eigenvalue.
     """
     n = fock.grid.n
     size = min(count + _GUARD, n)
-    sigma = -0.25 * fock.Z**2 - 1.0
+    lam, X = sla.eigh_tridiagonal(
+        fock.local_diag, fock.off, select="i", select_range=(0, size - 1)
+    )
+    sigma = lam[0] - max(_SHIFT_MARGIN * abs(lam[0]), _SHIFT_FLOOR)
     banded = np.zeros((2, n))
     banded[0] = fock.local_diag - sigma
     banded[1, :-1] = fock.off
@@ -329,13 +364,10 @@ def _lobpcg(
         raise EigensolverError(
             f"shift {sigma} is not below the spectrum: {exc}"
         ) from exc
-    _, X = sla.eigh_tridiagonal(
-        fock.diag, fock.off, select="i", select_range=(0, size - 1)
-    )
     if start is not None:
         X = np.hstack([start, X[:, count:]])
     X = _orthonormal_complement(np.zeros((n, 0)), X)
-    BX = fock.apply(X)
+    BX = apply(X)
     P = np.zeros((n, 0), dtype=X.dtype)
     for _ in range(_LOBPCG_MAXITER):
         theta, C = np.linalg.eigh(np.conj(X).T @ BX)
@@ -355,7 +387,7 @@ def _lobpcg(
         if not Q.shape[1]:
             break  # no new direction: the block cannot improve
         S = np.hstack([X, Q])
-        BS = np.hstack([BX, fock.apply(Q)])
+        BS = np.hstack([BX, apply(Q)])
         G = np.conj(S).T @ BS
         theta, C = np.linalg.eigh(0.5 * (G + np.conj(G).T))
         C = C[:, :X.shape[1]]
@@ -377,13 +409,14 @@ def lowest_eigenpairs(
     quadrature inner product; eigenvalues ascend, with degenerate pairs
     ordered by position and their eigenvectors orthonormalized (no
     simplicity assumption).  A tridiagonal operator (no exchange, no
-    level shift) goes to a tridiagonal solver at any size.  Otherwise, at
-    or below ``dense_cutoff`` a dense symmetric solver computes the
-    subset from :attr:`FockMatrix.matrix`; above it, LOBPCG (Knyazev,
-    SIAM J. Sci. Comput. 23, 517, 2001) works on :meth:`FockMatrix.apply`
-    alone, preconditioned by the tridiagonal part shifted below the
-    spectrum by the ``-Z^2/4`` bound and solved in O(n).  LOBPCG starts
-    from ``start`` (``count`` functions, such as the previous iteration's
+    level shift) goes to a tridiagonal solver at any size.  Otherwise
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517, 2001) computes the
+    pairs, preconditioned by the tridiagonal part shifted just below its
+    lowest eigenvalue and solved in O(n).  ``dense_cutoff`` selects how
+    it applies ``B``: at or below it as one product with
+    :attr:`FockMatrix.matrix`, built once per call, above it through
+    :meth:`FockMatrix.apply` alone.  LOBPCG starts from ``start``
+    (``count`` functions, such as the previous iteration's
     eigenfunctions) or else from the tridiagonal part's lowest
     eigenvectors, and stops once each residual is at the rounding scale
     of the product with the tridiagonal part or, when given, below
@@ -407,13 +440,10 @@ def lowest_eigenpairs(
         eps, vecs = sla.eigh_tridiagonal(
             fock.diag, fock.off, select="i", select_range=(0, count - 1)
         )
-    elif n <= dense_cutoff:
-        eps, vecs = sla.eigh(
-            fock.matrix, subset_by_index=(0, count - 1), driver="evr"
-        )
     else:
         x0 = None if start is None else np.column_stack([sq * f.values for f in start])
-        eps, vecs = _lobpcg(fock, count, x0, tol)
+        apply = fock.matrix.__matmul__ if n <= dense_cutoff else fock.apply
+        eps, vecs = _lobpcg(fock, count, x0, tol, apply)
 
     resid = fock.apply(vecs) - vecs * eps[np.newaxis, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))

@@ -84,6 +84,9 @@ class ScfOptions:
     ``tol_energy`` is relative (scaled by ``1 + |E|``); ``tol_residual``
     bounds ``|H f - e f|`` per occupied orbital.  ``tol_zero`` is the
     band around zero inside which an eigenvalue is treated as marginal.
+    ``dense_cutoff`` is the grid size up to which the eigensolver applies
+    each Fock operator as a dense matrix; above it the apply is
+    matrix-free and no n x n array is formed.
     """
 
     tol_energy: float = 1e-9

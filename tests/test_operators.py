@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +26,9 @@ from radialhf import (
     lowest_eigenpairs,
     make_grid,
     mean_field,
+    operators,
 )
-from util import exchange_kernel, random_orbital
+from util import eigh_pairs, exchange_kernel, random_orbital
 
 
 @pytest.fixture(scope="module")
@@ -110,36 +112,108 @@ def test_sign_convention_deterministic(coarse_hydrogen):
         assert a.values[np.argmax(np.abs(a.values))] > 0
 
 
+def _assert_pairs_match(pairs, reference, tol=1e-9):
+    """Eigenvalues and eigenfunctions (up to sign) agree with a reference."""
+    (eps, vecs), (eps_ref, vecs_ref) = pairs, reference
+    np.testing.assert_allclose(eps, eps_ref, atol=tol)
+    for a, b in zip(vecs, vecs_ref):
+        assert abs(abs(inner(a, b)) - 1.0) < tol
+
+
 def test_iterative_solver_matches_dense():
-    # helium-like operator with exchange above the dense cutoff: LOBPCG,
-    # cold and warm-started, against the dense solver
+    # helium-like operator with exchange above the dense cutoff: LOBPCG on
+    # the matrix-free apply, cold and warm-started, against LOBPCG on the
+    # dense matrix and against scipy's dense solver
     g = make_grid("uniform", 2600, 30.0)
     table = build_kernel_table(g, build_coefficient_table(0))
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 2)
     fock = fock_matrix(table, config, (None, 0), *mean_field(config, hydro[:1]))
-    eps_iter, vecs_iter = lowest_eigenpairs(fock, 2)  # above the dense cutoff
-    eps_warm, vecs_warm = lowest_eigenpairs(fock, 2, start=hydro)
-    eps_dense, vecs_dense = lowest_eigenpairs(fock, 2, dense_cutoff=4000)
-    np.testing.assert_allclose(eps_iter, eps_dense, atol=1e-9)
-    np.testing.assert_allclose(eps_warm, eps_dense, atol=1e-9)
-    for a, b, c in zip(vecs_iter, vecs_warm, vecs_dense):
-        assert abs(abs(inner(a, c)) - 1.0) < 1e-9
-        assert abs(abs(inner(b, c)) - 1.0) < 1e-9
+    reference = eigh_pairs(fock, 2)
+    iterative = lowest_eigenpairs(fock, 2)  # above the dense cutoff
+    warm = lowest_eigenpairs(fock, 2, start=hydro)
+    dense = lowest_eigenpairs(fock, 2, dense_cutoff=4000)
+    for pairs in (iterative, warm):
+        _assert_pairs_match(pairs, dense)
+    for pairs in (iterative, warm, dense):
+        _assert_pairs_match(pairs, reference)
 
 
-def test_failed_preconditioner_raises():
-    # a local part far below -Z^2/4 - 1 cannot be factored
+def _level_shifted_helium():
+    g = make_grid("exponential", 500, 25.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 3)
+    fock = fock_matrix(table, config, (None, 0), *mean_field(config, hydro[:1]))
+    u = (np.sqrt(g.weights) * hydro[0].values)[:, None]
+    return replace(fock, level_shift=1.0, occupied=u), 3, hydro
+
+
+def _anion_with_unbound_top_level():
+    # two s shells on Z = 1: the second wanted level lies in the box
+    # continuum, as for a shell the solver drops
+    g = make_grid("uniform", 600, 30.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    config = Configuration(Z=1.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0)))
+    _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 1.0), 2)
+    return fock_matrix(table, config, (None, 0), *mean_field(config, hydro)), 2, hydro
+
+
+@pytest.mark.parametrize(
+    "case, top_unbound",
+    [(_level_shifted_helium, False), (_anion_with_unbound_top_level, True)],
+    ids=["level-shift", "unbound-top-level"],
+)
+def test_dense_apply_matches_eigh(case, top_unbound):
+    # at or below the cutoff LOBPCG runs on the dense matrix; cold and
+    # warm starts agree with each other and with scipy's dense solver
+    fock, count, start = case()
+    reference = eigh_pairs(fock, count)
+    if top_unbound:
+        assert reference[0][-1] > 0.0
+    cold = lowest_eigenpairs(fock, count)
+    warm = lowest_eigenpairs(fock, count, start=start)
+    _assert_pairs_match(cold, reference)
+    _assert_pairs_match(warm, reference)
+    _assert_pairs_match(warm, cold)
+
+
+def test_deep_local_part_solves():
+    # a local part far below -Z^2/4 - 1, which a Z-based shift could not
+    # precondition: the shift follows the local part's own spectrum
     g = make_grid("uniform", 300, 10.0)
     table = build_kernel_table(g, build_coefficient_table(0))
     bare = hydrogenic_matrix(g, 0, 1.0)
     v = np.sqrt(g.weights) * g.points * np.exp(-g.points)
     fock = FockMatrix(
-        grid=g, l=0, Z=1.0, diag=bare.diag - 50.0, off=bare.off, table=table,
+        grid=g, l=0, diag=bare.diag - 50.0, off=bare.off, table=table,
         exchange=((0, v[:, None], np.ones(1)),),
     )
-    with pytest.raises(EigensolverError):
-        lowest_eigenpairs(fock, 1, dense_cutoff=100)
+    lam, vecs = np.linalg.eigh(fock.matrix)
+    sq = np.sqrt(g.weights)
+    reference = lam[:1], [RadialFunction(g, vecs[:, 0] / sq)]
+    for cutoff in (100, 1000):  # matrix-free and dense apply
+        _assert_pairs_match(lowest_eigenpairs(fock, 1, dense_cutoff=cutoff), reference)
+
+
+def test_failed_preconditioner_raises():
+    # a coupling of 1e20 swamps the local part's lowest eigenvalue in
+    # rounding: the computed one lies above the spectrum, and the banded
+    # Cholesky of the shifted local part reports it
+    g = make_grid("uniform", 300, 10.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    bare = hydrogenic_matrix(g, 0, 1.0)
+    diag, off = bare.diag.copy(), bare.off.copy()
+    diag[100:102] += 1e20
+    off[100] -= 1e20
+    v = np.sqrt(g.weights) * g.points * np.exp(-g.points)
+    fock = FockMatrix(
+        grid=g, l=0, diag=diag, off=off, table=table,
+        exchange=((0, v[:, None], np.ones(1)),),
+    )
+    for cutoff in (100, 1000):
+        with pytest.raises(EigensolverError, match="not below the spectrum"):
+            lowest_eigenpairs(fock, 1, dense_cutoff=cutoff)
 
 
 @pytest.fixture(scope="module")
@@ -161,15 +235,40 @@ def neon_like_focks(table400):
     return focks
 
 
-def test_fock_apply_matches_matrix(neon_like_focks):
+def test_fock_apply_matches_matrix(neon_like_focks, monkeypatch):
     g = neon_like_focks[0].grid
     rng = np.random.default_rng(47)
     block = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
-    for fock in neon_like_focks:
-        mat = fock.matrix
-        for x in (block.real[:, 0], block[:, 1], block.real, block):
-            dense = mat @ x
-            assert np.linalg.norm(fock.apply(x) - dense) <= 1e-13 * np.linalg.norm(dense)
+    # the whole block in one exchange chunk, then one column per chunk
+    for chunk_bytes in (operators._CHUNK_BYTES, 1):
+        monkeypatch.setattr(operators, "_CHUNK_BYTES", chunk_bytes)
+        for fock in neon_like_focks:
+            mat = fock.matrix
+            for x in (block.real[:, 0], block[:, 1], block.real, block):
+                dense = mat @ x
+                assert np.linalg.norm(fock.apply(x) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_exchange_apply_peak_memory():
+    # helium at uniform n = 40000 with rank-5 exchange factors on a block
+    # of 12 columns, the largest block its LOBPCG applies: applied whole,
+    # the prefix sums held 96 MiB of traced memory at once, in column
+    # chunks 17 MiB (the 3.7 MiB result included)
+    n = 40000
+    g = make_grid("uniform", n, 15.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    rng = np.random.default_rng(61)
+    gammas = {(None, 0): (rng.standard_normal((n, 5)), np.ones(5))}
+    fock = fock_matrix(table, config, (None, 0), np.zeros(n), gammas)
+    block = rng.standard_normal((n, 12))
+    tracemalloc.start()
+    try:
+        fock.apply(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_norm_lower_bound(neon_like_focks, table400):

@@ -27,7 +27,7 @@ from radialhf import (
     theorem_report,
 )
 from radialhf import scf
-from util import random_orbital
+from util import eigh_pairs, random_orbital
 
 # Values produced by tests/oracle_helium.py, an independent fine-grid
 # solver for the same functional (see that file); frozen 2026-08-16.
@@ -257,14 +257,21 @@ def test_factored_mix_equals_dense_mix(table400):
     ],
     ids=["neon-rhf", "lithium-uhf"],
 )
-def test_iterative_path_matches_dense_solve(config):
-    # the cutoff lowered below n sends every eigensolve with exchange to LOBPCG
+def test_iterative_path_matches_dense_solve(config, monkeypatch):
+    # the cutoff lowered below n sends every eigensolve with exchange to the
+    # matrix-free apply; both paths match a solve whose every eigensolve is
+    # scipy's dense solver
     grid = make_grid("exponential", 400, 30.0)
     dense = solve(config, grid)
     iterative = solve(config, grid, options=ScfOptions(dense_cutoff=100))
-    assert dense.converged and iterative.converged
-    assert iterative.energy == pytest.approx(dense.energy, rel=1e-10)
-    assert (iterative.iterations, iterative.rejections) == (dense.iterations, dense.rejections)
+    monkeypatch.setattr(
+        scf, "lowest_eigenpairs", lambda fock, count, *_, **__: eigh_pairs(fock, count)
+    )
+    reference = solve(config, grid)
+    assert dense.converged and iterative.converged and reference.converged
+    for a, b in ((iterative, dense), (iterative, reference), (dense, reference)):
+        assert a.energy == pytest.approx(b.energy, rel=1e-10)
+        assert (a.iterations, a.rejections) == (b.iterations, b.rejections)
 
 
 def test_eigensolver_failure_is_reported_not_raised(monkeypatch, he_config):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 from radialhf import (
     ALPHA,
     BETA,
     CoefficientTable,
     Configuration,
+    FockMatrix,
     KernelTable,
     RadialFunction,
     RadialGrid,
@@ -142,3 +144,15 @@ def dense_exchange_energy(
                     * float(np.real(a @ u @ np.conj(a)))
                 )
     return 0.5 * config.spin_factor * pairs
+
+
+def eigh_pairs(fock: FockMatrix, count: int) -> tuple[np.ndarray, list[RadialFunction]]:
+    """The ``count`` lowest pairs of ``fock.matrix`` by scipy's dense solver.
+
+    The reference the package's eigensolver is checked against, with the
+    same signature as the leading arguments of ``lowest_eigenpairs``;
+    eigenvector signs are left as the solver returns them.
+    """
+    eps, vecs = sla.eigh(fock.matrix, subset_by_index=(0, count - 1))
+    inv_sq = 1.0 / np.sqrt(fock.grid.weights)
+    return eps, [RadialFunction(fock.grid, vecs[:, j] * inv_sq) for j in range(count)]
