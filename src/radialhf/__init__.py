@@ -50,10 +50,8 @@ from .kernels import (
     apply_direct_kernel,
     apply_exchange_kernel,
     build_kernel_table,
-    load_kernel_table,
     oracle_u_kernel,
     p_kernel,
-    save_kernel_table,
     u_kernel,
 )
 from .operators import (
@@ -123,7 +121,6 @@ __all__ = [
     "kinetic_quadratic_form",
     "legendre_p",
     "legendre_triple_product",
-    "load_kernel_table",
     "lower_bound",
     "lowest_eigenpairs",
     "make_bump",
@@ -137,7 +134,6 @@ __all__ = [
     "probe_shell",
     "radial_expectation",
     "rhf_energy",
-    "save_kernel_table",
     "second_order_coefficient",
     "solve",
     "theorem_report",

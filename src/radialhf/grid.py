@@ -29,7 +29,6 @@ multiply by 2 for Hartree.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +92,6 @@ class RadialGrid:
             and self.r_max == other.r_max
             and np.array_equal(self.points, other.points)
         )
-
-    def content_hash(self) -> str:
-        """SHA-256 over the grid's defining data, for cache keying."""
-        blake = hashlib.sha256()
-        blake.update(self.kind.encode())
-        blake.update(np.int64(self.n).tobytes())
-        blake.update(np.float64(self.r_max).tobytes())
-        blake.update(np.ascontiguousarray(self.points).tobytes())
-        blake.update(np.ascontiguousarray(self.weights).tobytes())
-        return blake.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

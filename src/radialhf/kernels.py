@@ -36,13 +36,11 @@ product in O(n) per ``k`` (the ``Y^k`` functions of Froese Fischer,
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .angular import CoefficientTable, build_coefficient_table, legendre_p
+from .angular import CoefficientTable, legendre_p
 from .grid import RadialGrid
 
 __all__ = [
@@ -54,9 +52,6 @@ __all__ = [
     "build_kernel_table",
     "apply_direct_kernel",
     "apply_exchange_kernel",
-    "exchange_band",
-    "save_kernel_table",
-    "load_kernel_table",
 ]
 
 
@@ -367,90 +362,3 @@ def apply_exchange_kernel(
     for k in table.coeffs.k_range(l, lp):
         out = out + table.coeffs.coeff(l, lp, k) * _apply_multipole(r, k, y)
     return out
-
-
-def exchange_band(table: KernelTable, l: int, lp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and first off-diagonal of ``table.exchange(l, lp)``, in O(n k)."""
-    r = table.grid.points
-    ratio = r[:-1] / r[1:]
-    diag = np.zeros_like(r)
-    off = np.zeros_like(ratio)
-    for k in table.coeffs.k_range(l, lp):
-        w2 = table.coeffs.coeff(l, lp, k)
-        diag += w2 / r
-        off += w2 * ratio**k / r[1:]
-    return diag, off
-
-
-_CACHE_MAGIC = b"RHFKTBL1"
-_CACHE_VERSION = 1
-
-
-def save_kernel_table(table: KernelTable, path: str | Path) -> None:
-    """Write a kernel table to a little-endian binary cache file.
-
-    Builds (and caches) every dense matrix of the table that is not yet
-    built.
-
-    Layout: magic (8 bytes), version (u32), n (u64), max_l (u32),
-    grid SHA-256 (32 bytes), then float64 arrays in order: points,
-    weights, direct matrix, exchange matrices for ``l <= lp`` in
-    lexicographic order.  All multi-byte values little-endian.
-    """
-    path = Path(path)
-    grid = table.grid
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IQI", _CACHE_VERSION, grid.n, table.max_l))
-        fh.write(bytes.fromhex(grid.content_hash()))
-        fh.write(np.ascontiguousarray(grid.points, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(grid.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(table.direct, dtype="<f8").tobytes())
-        for l in range(table.max_l + 1):
-            for lp in range(l, table.max_l + 1):
-                fh.write(
-                    np.ascontiguousarray(table.exchange(l, lp), dtype="<f8").tobytes()
-                )
-
-
-def load_kernel_table(path: str | Path, grid: RadialGrid) -> KernelTable:
-    """Load a kernel table cache written by :func:`save_kernel_table`.
-
-    The cache is keyed to the grid: a mismatched grid hash is rejected.
-
-    Raises
-    ------
-    ValueError
-        On a bad magic/version or on a grid mismatch.
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a kernel table cache (magic {magic!r})")
-        version, n, max_l = struct.unpack("<IQI", fh.read(16))
-        if version != _CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        stored_hash = fh.read(32).hex()
-        if n != grid.n or stored_hash != grid.content_hash():
-            raise ValueError(
-                f"{path}: cache was built for a different grid "
-                f"(cached n = {n}, requested n = {grid.n})"
-            )
-
-        def read_array(count: int) -> np.ndarray:
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated cache file")
-            return np.frombuffer(buf, dtype="<f8").astype(np.float64)
-
-        read_array(n)  # points (already verified through the hash)
-        read_array(n)  # weights
-        table = KernelTable(
-            grid=grid, max_l=max_l, coeffs=build_coefficient_table(max_l)
-        )
-        table._dense["direct"] = read_array(n * n).reshape(n, n)
-        for l in range(max_l + 1):
-            for lp in range(l, max_l + 1):
-                table._dense[(l, lp)] = read_array(n * n).reshape(n, n)
-    return table

@@ -39,12 +39,7 @@ import scipy.linalg as sla
 
 from .configuration import ALPHA, BETA, Configuration
 from .grid import RadialFunction, RadialGrid
-from .kernels import (
-    KernelTable,
-    apply_direct_kernel,
-    apply_exchange_kernel,
-    exchange_band,
-)
+from .kernels import KernelTable, apply_direct_kernel, apply_exchange_kernel
 
 __all__ = [
     "EigensolverError",
@@ -60,6 +55,8 @@ __all__ = [
 # the dense matrix.
 DENSE_CUTOFF = 2500
 
+# A returned pair's residual must be below this fraction of ||T| |x||,
+# the rounding scale that LOBPCG targets at _LOBPCG_FACTOR.
 _RESIDUAL_FACTOR = 1e-10
 # LOBPCG stops when each wanted residual is below this fraction of
 # ||T| |x||, the scale of the rounding error of the product with the local
@@ -182,34 +179,6 @@ class FockMatrix:
             mat -= self.level_shift * (self.occupied @ self.occupied.T)
         return mat
 
-    def norm_lower_bound(self) -> float:
-        """A lower bound on ``|B|_inf`` in O(n) per factor column.
-
-        Row ``i`` of ``|B|`` sums to at least ``sum_band |B_ij| +
-        |sum_rest B_ij|``: the tridiagonal band is computed exactly, and
-        the rest of the row, read off ``B 1``, enters through its sum.
-        The bound is exact when a row's entries off the band share one
-        sign, as for a single nodeless orbital.
-        """
-        dtype = np.result_type(*(V for _, V, _ in self.exchange), float)
-        diag = self.local_diag.astype(dtype)
-        off = self.off.astype(dtype)
-        for lp, V, c in self.exchange:
-            u_diag, u_off = exchange_band(self.table, self.l, lp)
-            diag -= (np.abs(V) ** 2 @ c) * u_diag
-            off -= ((V[:-1] * c) * np.conj(V[1:])).sum(axis=1) * u_off
-        if self.level_shift:
-            O = self.occupied
-            diag -= self.level_shift * np.sum(O**2, axis=1)
-            off -= self.level_shift * np.sum(O[:-1] * O[1:], axis=1)
-        rest = self.apply(np.ones(self.grid.n)) - diag
-        rest[:-1] -= off
-        rest[1:] -= np.conj(off)
-        rows = np.abs(diag) + np.abs(rest)
-        rows[:-1] += np.abs(off)
-        rows[1:] += np.abs(off)
-        return float(np.max(rows))
-
     def bilinear(self, p: RadialFunction, q: RadialFunction):
         """``<p| H |q>`` for two grid functions; complex for complex inputs."""
         if not (p.grid.matches(self.grid) and q.grid.matches(self.grid)):
@@ -330,6 +299,17 @@ def _orthonormal_complement(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return U - X @ (np.conj(X).T @ U)
 
 
+def _rounding_scale(fock: FockMatrix, X: np.ndarray) -> np.ndarray:
+    """``||T| |x||`` for each column ``x`` of ``X``: the scale of the rounding
+    error of the product with the tridiagonal part ``T``."""
+    x = np.abs(X)
+    off = np.abs(fock.off)[:, None]
+    scale = np.abs(fock.local_diag)[:, None] * x
+    scale[:-1] += off * x[1:]
+    scale[1:] += off * x[:-1]
+    return np.linalg.norm(scale, axis=0)
+
+
 def _lobpcg(
     fock: FockMatrix,
     count: int,
@@ -373,11 +353,7 @@ def _lobpcg(
         theta, C = np.linalg.eigh(np.conj(X).T @ BX)
         X, BX = X @ C, BX @ C
         R = BX - X * theta
-        x = np.abs(X[:, :count])
-        scale = np.abs(fock.local_diag)[:, None] * x
-        scale[:-1] += np.abs(fock.off)[:, None] * x[1:]
-        scale[1:] += np.abs(fock.off)[:, None] * x[:-1]
-        target = _LOBPCG_FACTOR * np.linalg.norm(scale, axis=0)
+        target = _LOBPCG_FACTOR * _rounding_scale(fock, X[:, :count])
         if tol is not None:
             target = np.minimum(target, tol)
         if np.all(np.linalg.norm(R[:, :count], axis=0) <= target):
@@ -425,9 +401,9 @@ def lowest_eigenpairs(
     Raises
     ------
     EigensolverError
-        If a residual ``|B u - e u|`` exceeds ``1e-10`` times a lower
-        bound on ``|B|_inf``, or if the shifted tridiagonal part is not
-        positive definite.
+        If a residual ``|B u - e u|`` exceeds ``1e-10`` times the rounding
+        scale ``||T| |u||`` of its own vector, or if the shifted
+        tridiagonal part is not positive definite.
     """
     n = fock.grid.n
     if not 1 <= count <= n - 2:
@@ -435,7 +411,6 @@ def lowest_eigenpairs(
     if start is not None and len(start) != count:
         raise ValueError(f"start holds {len(start)} functions, expected {count}")
     sq = np.sqrt(fock.grid.weights)
-    bound = _RESIDUAL_FACTOR * fock.norm_lower_bound()
     if not fock.exchange and not fock.level_shift:
         eps, vecs = sla.eigh_tridiagonal(
             fock.diag, fock.off, select="i", select_range=(0, count - 1)
@@ -445,12 +420,13 @@ def lowest_eigenpairs(
         apply = fock.matrix.__matmul__ if n <= dense_cutoff else fock.apply
         eps, vecs = _lobpcg(fock, count, x0, tol, apply)
 
-    resid = fock.apply(vecs) - vecs * eps[np.newaxis, :]
-    worst = float(np.max(np.linalg.norm(resid, axis=0)))
-    if worst > bound:
+    resid = np.linalg.norm(fock.apply(vecs) - vecs * eps[np.newaxis, :], axis=0)
+    bound = _RESIDUAL_FACTOR * _rounding_scale(fock, vecs)
+    worst = int(np.argmax(resid / bound))
+    if resid[worst] > bound[worst]:
         raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds {bound:.3e} "
-            f"(n = {n}, count = {count})"
+            f"eigenpair residual {resid[worst]:.3e} exceeds {bound[worst]:.3e} "
+            f"(n = {n}, count = {count}, pair {worst})"
         )
     vecs = _fix_signs(np.array(vecs))
     inv_sqrt_w = 1.0 / sq

@@ -2,7 +2,8 @@
 
 The expensive self-consistent solves are session-scoped so the unit
 tests, behavior tests, and the acceptance suite all share one solve per
-physical scenario.
+physical scenario; where ``radialhf validate`` runs the same scenario,
+the fixture takes its solve from the catalogue's :func:`solved`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from radialhf import (
     solve,
     total_energy,
 )
+from radialhf.validate import solved
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +84,10 @@ def he_timing():
 
 
 @pytest.fixture(scope="session")
-def he_state(he_config, he_grid, he_table, he_timing):
+def he_state(he_timing):
     start = time.perf_counter()
-    state = solve(he_config, he_grid, he_table)
+    state, _ = solved(2.0, (ShellSpec(0),), 2000, 15.0)
     he_timing["solve_seconds"] = time.perf_counter() - start
-    assert state.converged, state.message
-    return state
-
-
-@pytest.fixture(scope="session")
-def he3000_state(he_config):
-    state = solve(he_config, make_grid("uniform", 3000, 15.0))
     assert state.converged, state.message
     return state
 
@@ -108,8 +103,8 @@ def he_wide_table(he_wide_grid):
 
 
 @pytest.fixture(scope="session")
-def he_wide_state(he_config, he_wide_grid, he_wide_table):
-    state = solve(he_config, he_wide_grid, he_wide_table)
+def he_wide_state():
+    state, _ = solved(2.0, (ShellSpec(0),), 1200, 100.0)
     assert state.converged, state.message
     return state
 
@@ -150,7 +145,7 @@ def ne_config():
 
 @pytest.fixture(scope="session")
 def ne_state(ne_config):
-    state = solve(ne_config, make_grid("uniform", 1500, 12.0))
+    state, _ = solved(ne_config.Z, ne_config.shells, 1500, 12.0)
     assert state.converged, state.message
     return state
 
@@ -174,8 +169,7 @@ def ne_wide_state(ne_config, ne_wide_grid, ne_wide_table):
 
 @pytest.fixture(scope="session")
 def hminus_state():
-    config = Configuration(Z=1.0, model="rhf", shells=(ShellSpec(0),))
-    state = solve(config, make_grid("uniform", 2000, 60.0))
+    state, _ = solved(1.0, (ShellSpec(0),), 2000, 60.0)
     assert state.converged, state.message
     return state
 
@@ -193,11 +187,6 @@ def fminus_state():
 @pytest.fixture(scope="session")
 def z3_setup():
     """Spinless (single spin channel) UHF lithium-like ion, Z = 3, N = 4."""
-    config = Configuration(
-        Z=3.0, model="uhf", shells=(ShellSpec(0, "alpha"), ShellSpec(1, "alpha"))
-    )
-    grid = make_grid("uniform", 1600, 40.0)
-    table = build_kernel_table(grid, build_coefficient_table(1))
-    state = solve(config, grid, table)
+    state, table = solved(3.0, (ShellSpec(0, "alpha"), ShellSpec(1, "alpha")), 1600, 40.0)
     assert state.converged, state.message
     return state, table

@@ -19,8 +19,8 @@ a plain three-point Laplacian, and `scipy.linalg.eigh_tridiagonal`.
 None of the package's assembly code is involved, so agreement between
 the two is evidence, not tautology.
 
-Run as a script to print the extrapolated energy that the test suite
-freezes as ``HELIUM_ORACLE``:
+Run as a script to print the extrapolated energy that the check
+catalogue freezes as ``radialhf.validate.HELIUM_ORACLE_ENERGY``:
 
     python3 tests/oracle_helium.py
 """

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from radialhf import EigensolverError, ScfOptions, scf
+from radialhf import EigensolverError, ScfOptions, scf, validate
 from radialhf.cli import ConfigError, load_config, main
 
 HELIUM = {
@@ -324,8 +324,10 @@ def test_probe_rejects_malformed_result_document(solved_wide, tmp_path, capsys, 
 # validate command
 
 
-def test_validate_quick_passes(capsys):
-    assert main(["validate", "--level", "quick"]) == 0
+def test_validate_exits_3_when_a_check_fails(monkeypatch, capsys):
+    failing = validate.Check("demo/always-off", "quick", 0.0, lambda: (1.0, "off by one"))
+    monkeypatch.setattr(validate, "CATALOGUE", {failing.name: failing})
+    assert main(["validate", "--level", "quick"]) == 3
     out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "FAIL" not in out
+    assert "FAIL  demo/always-off" in out
+    assert "0/1 checks passed (quick)" in out

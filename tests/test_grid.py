@@ -7,7 +7,6 @@ import pytest
 
 from radialhf import (
     RadialFunction,
-    coulomb_expectation,
     derivative_sq_norm,
     inner,
     integrate,
@@ -62,15 +61,6 @@ def test_make_grid_rejects_bad_arguments(kind, n, r_max, gamma):
 # Quadrature
 
 
-def test_linear_integrand_exact_up_to_wall_term():
-    # Dirichlet walls drop the outer endpoint: the trapezoid value of the
-    # identity function is exactly r_max^2/2 - h*r_max/2 on a uniform grid.
-    for n in (10, 100, 999):
-        g = make_grid("uniform", n, 1.0)
-        h = 1.0 / (n + 1)
-        assert integrate(g, g.points) == pytest.approx(0.5 - 0.5 * h, rel=1e-14)
-
-
 def test_quadrature_second_order_on_vanishing_functions():
     # f = 2 r e^{-r} has unit L^2 norm; halving h must cut the error ~4x.
     errors = []
@@ -90,16 +80,6 @@ def test_integrate_rejects_wrong_length():
 
 # ---------------------------------------------------------------------------
 # Norms, inner products, closed forms
-
-
-def test_hydrogenic_profile_closed_forms():
-    # f = 2 a^{3/2} r e^{-a r}: ||f|| = 1, ||f'||^2 = a^2, <f, f/r> = a.
-    g = make_grid("uniform", 2000, 20.0)
-    for a in (0.8, 1.0, 1.3):
-        f = RadialFunction(g, 2.0 * a**1.5 * g.points * np.exp(-a * g.points))
-        assert norm(f) == pytest.approx(1.0, abs=5e-4)
-        assert derivative_sq_norm(f) == pytest.approx(a * a, abs=5e-4)
-        assert coulomb_expectation(f) == pytest.approx(a, abs=5e-4)
 
 
 def test_zero_function_has_zero_norm_and_energy():
@@ -180,32 +160,3 @@ def test_kinetic_rejects_negative_l():
         kinetic_quadratic_form(f, -1)
 
 
-# ---------------------------------------------------------------------------
-# Inequality layer (acceptance criterion 4 exercises these as well)
-
-
-def _random_bump_family(count, seed):
-    rng = np.random.default_rng(seed)
-    g = make_grid("uniform", 1000, 20.0)
-    for _ in range(count):
-        center = rng.uniform(2.0, 14.0)
-        width = rng.uniform(0.8, min(center - 0.5, 5.0))
-        scale = rng.uniform(0.2, 3.0)
-        yield RadialFunction(g, scale * smooth_bump(g, center, width))
-
-
-def test_discrete_hardy_inequality():
-    # <f, r^-2 f> <= 4 ||f'||^2 with an O(h) discretization allowance
-    for f in _random_bump_family(200, seed=11):
-        h = float(np.max(f.grid.spacings))
-        lhs = radial_expectation(f, f.grid.points**-2.0)
-        rhs = 4.0 * derivative_sq_norm(f) * (1.0 + 10.0 * h)
-        assert lhs <= rhs
-
-
-def test_coulomb_split_bound():
-    # <f, f/r> <= eps ||f'||^2 + (1/eps) ||f||^2 for every eps > 0
-    for f in _random_bump_family(50, seed=13):
-        for eps in (0.1, 1.0, 10.0):
-            bound = eps * derivative_sq_norm(f) + norm(f) ** 2 / eps
-            assert coulomb_expectation(f) <= bound + 1e-8

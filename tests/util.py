@@ -1,4 +1,9 @@
-"""Shared helpers for the test suite: random smooth orbitals and bumps."""
+"""Shared helpers for the test suite: random inputs, references, kernels.
+
+The random orbitals, configurations and bumps are the catalogue's own
+(:mod:`radialhf.validate`), so the tests and ``radialhf validate`` draw
+from one family.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from radialhf import (
-    ALPHA,
-    BETA,
     CoefficientTable,
     Configuration,
     FockMatrix,
@@ -18,57 +21,12 @@ from radialhf import (
     fock_matrix,
     mean_field,
 )
-
-
-def smooth_bump(grid: RadialGrid, center: float, width: float) -> np.ndarray:
-    """C^inf bump supported on (center - width, center + width), zero at walls."""
-    x = (grid.points - center) / width
-    vals = np.zeros_like(grid.points)
-    mask = np.abs(x) < 1.0
-    vals[mask] = np.exp(-1.0 / (1.0 - x[mask] ** 2))
-    return vals
-
-
-def random_orbital(
-    rng: np.random.Generator,
-    grid: RadialGrid,
-    l: int,
-    norm_value: float | None = None,
-) -> RadialFunction:
-    """Smooth random radial function ~ r^(l+1) e^{-a r} with a wobble."""
-    a = rng.uniform(0.5, 2.5)
-    wobble = 1.0 + 0.3 * rng.standard_normal() * np.tanh(grid.points)
-    vals = grid.points ** (l + 1) * np.exp(-a * grid.points) * wobble
-    f = RadialFunction(grid, vals)
-    if norm_value is None:
-        norm_value = rng.uniform(0.3, 1.0)
-    return RadialFunction(grid, vals * (norm_value / f.norm()))
-
-
-def random_config(
-    rng: np.random.Generator,
-    max_shells: int = 4,
-    max_l: int = 2,
-    model: str = "rhf",
-    Z: float | None = None,
-) -> Configuration:
-    n_shells = int(rng.integers(1, max_shells + 1))
-    shells = tuple(ShellSpec(int(rng.integers(0, max_l + 1))) for _ in range(n_shells))
-    if Z is None:
-        Z = float(rng.uniform(1.0, 10.0))
-    return Configuration(Z=Z, model=model, shells=shells)
-
-
-def random_orbital_set(
-    rng: np.random.Generator,
-    grid: RadialGrid,
-    config: Configuration,
-    norm_value: float | None = None,
-) -> list[RadialFunction]:
-    return [
-        random_orbital(rng, grid, sh.l, norm_value=norm_value)
-        for sh in config.shells
-    ]
+from radialhf.validate import (  # noqa: F401  (re-exported for the tests)
+    random_config,
+    random_orbital,
+    random_orbital_set,
+    smooth_bump,
+)
 
 
 def exchange_kernel(
@@ -120,30 +78,6 @@ def eager_kernel_matrices(
                 power = power * ratio2
             exchange[(l, lp)] = acc * direct
     return direct, exchange
-
-
-def dense_exchange_energy(
-    config: Configuration, orbitals: list[RadialFunction], table: KernelTable
-) -> float:
-    """Exchange energy from the dense kernel matrices.
-
-    ``(s/2) sum_{j,k same spin} c_j c_k a U_{l_j l_k} conj(a)`` with
-    ``a = w conj(f_j) f_k``, one matrix product per ordered pair.
-    """
-    w = table.grid.weights
-    pairs = 0.0
-    for spin in (None, ALPHA, BETA):
-        idx = [j for j, sh in enumerate(config.shells) if sh.spin == spin]
-        for j in idx:
-            for k in idx:
-                a = w * np.conj(orbitals[j].values) * orbitals[k].values
-                u = table.exchange(config.shells[j].l, config.shells[k].l)
-                pairs += (
-                    config.shell_weight(j)
-                    * config.shell_weight(k)
-                    * float(np.real(a @ u @ np.conj(a)))
-                )
-    return 0.5 * config.spin_factor * pairs
 
 
 def eigh_pairs(fock: FockMatrix, count: int) -> tuple[np.ndarray, list[RadialFunction]]:
