@@ -93,6 +93,13 @@ def he_state(he_timing):
 
 
 @pytest.fixture(scope="session")
+def he3000_state():
+    state, _ = solved(2.0, (ShellSpec(0),), 3000, 15.0)
+    assert state.converged, state.message
+    return state
+
+
+@pytest.fixture(scope="session")
 def he_wide_grid():
     return make_grid("uniform", 1200, 100.0)
 

@@ -15,12 +15,55 @@ from radialhf import (
     wigner3j_zero_squared,
 )
 
+# Exact rational values from the closed form; (l, l, 0) = 1/(2l+1).
+KNOWN_VALUES = {
+    (0, 0, 0): 1.0,
+    (1, 1, 0): 1.0 / 3.0,
+    (2, 2, 0): 1.0 / 5.0,
+    (3, 3, 0): 1.0 / 7.0,
+    (1, 1, 2): 2.0 / 15.0,
+    (2, 2, 2): 2.0 / 35.0,
+    (0, 2, 2): 1.0 / 5.0,
+    (1, 2, 1): 2.0 / 15.0,
+}
+
+
+@pytest.mark.parametrize("ls,expected", sorted(KNOWN_VALUES.items()))
+def test_known_squared_coefficients(ls, expected):
+    assert wigner3j_zero_squared(*ls) == pytest.approx(expected, abs=1e-14)
+
+
+def test_odd_total_angular_momentum_vanishes():
+    for l1 in range(6):
+        for l2 in range(6):
+            for l3 in range(6):
+                if (l1 + l2 + l3) % 2 == 1:
+                    assert wigner3j_zero_squared(l1, l2, l3) == 0.0
+
+
+def test_triangle_violations_vanish():
+    assert wigner3j_zero_squared(0, 0, 2) == 0.0
+    assert wigner3j_zero_squared(1, 1, 4) == 0.0
+    assert wigner3j_zero_squared(2, 5, 1) == 0.0
+
+
 def test_permutation_symmetry():
     import itertools
 
     for ls in [(1, 2, 3), (2, 2, 4), (0, 3, 3), (4, 5, 7)]:
         vals = {wigner3j_zero_squared(*p) for p in itertools.permutations(ls)}
         assert max(vals) - min(vals) < 1e-15
+
+
+def test_orthogonality_sum_rule():
+    # sum_k (2k+1) * w2(l, lp, k) = 1 for every (l, lp)
+    for l in range(6):
+        for lp in range(6):
+            total = sum(
+                (2 * k + 1) * wigner3j_zero_squared(l, lp, k)
+                for k in range(l + lp + 1)
+            )
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rejects_negative_angular_momentum():
@@ -45,6 +88,14 @@ def test_legendre_endpoints():
     for n in range(8):
         assert legendre_p(n, 1.0) == pytest.approx(1.0, abs=1e-14)
         assert legendre_p(n, -1.0) == pytest.approx((-1.0) ** n, abs=1e-14)
+
+
+def test_triple_product_equals_squared_coefficient():
+    # (1/2) * integral of P_a P_b P_c over [-1, 1] is the squared 3j value
+    for ls in [(0, 0, 0), (1, 1, 2), (2, 2, 2), (3, 3, 4), (2, 4, 6), (1, 2, 3)]:
+        assert legendre_triple_product(*ls) == pytest.approx(
+            wigner3j_zero_squared(*ls), abs=1e-12
+        )
 
 
 @given(

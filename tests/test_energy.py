@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from radialhf import (
+    ALPHA,
+    BETA,
     Configuration,
     RadialFunction,
     ShellSpec,
+    build_coefficient_table,
+    build_kernel_table,
     decompose_shell,
     first_order_coefficient,
     fock_matrix,
@@ -19,9 +23,15 @@ from radialhf import (
     rhf_energy,
     second_order_coefficient,
     total_energy,
+    make_grid,
     uhf_energy,
 )
-from util import random_config, random_orbital_set
+from util import (
+    dense_exchange_energy,
+    random_config,
+    random_orbital,
+    random_orbital_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +41,26 @@ def rng():
 
 # ---------------------------------------------------------------------------
 # Closed forms and trivial inputs
+
+
+def test_helium_exponential_trial_energy(he_config, he_grid, he_table):
+    # E(a) = 2 a^2 - (27/8) a for f = 2 a^{3/2} r e^{-a r}; the minimum
+    # over a sits at a = 27/32 with value -729/512.
+    for a in (0.7, 27.0 / 32.0, 1.1):
+        f = RadialFunction(
+            he_grid, 2.0 * a**1.5 * he_grid.points * np.exp(-a * he_grid.points)
+        )
+        expected = 2.0 * a * a - 27.0 * a / 8.0
+        assert rhf_energy(he_config, [f], he_table).total == pytest.approx(
+            expected, abs=2e-4
+        )
+    a_best = 27.0 / 32.0
+    f_best = RadialFunction(
+        he_grid, 2.0 * a_best**1.5 * he_grid.points * np.exp(-a_best * he_grid.points)
+    )
+    assert rhf_energy(he_config, [f_best], he_table).total == pytest.approx(
+        -729.0 / 512.0, abs=2e-4
+    )
 
 
 def test_zero_orbitals_have_zero_energy(grid300, table300):
@@ -80,6 +110,65 @@ def test_model_mismatch_rejected(grid300, table300, rng):
 # Exact identities
 
 
+def test_spin_paired_unrestricted_equals_restricted(grid300, table300, rng):
+    cfg_r = Configuration(Z=4.0, model="rhf", shells=(ShellSpec(0), ShellSpec(1)))
+    cfg_u = Configuration(
+        Z=4.0,
+        model="uhf",
+        shells=(
+            ShellSpec(0, "alpha"),
+            ShellSpec(1, "alpha"),
+            ShellSpec(0, "beta"),
+            ShellSpec(1, "beta"),
+        ),
+    )
+    for _ in range(10):
+        orbs = random_orbital_set(rng, grid300, cfg_r)
+        e_r = rhf_energy(cfg_r, orbs, table300).total
+        e_u = uhf_energy(cfg_u, orbs + orbs, table300).total
+        assert e_u == pytest.approx(e_r, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+@pytest.mark.parametrize("model", ["rhf", "uhf"])
+def test_exchange_energy_matches_dense_form(kind, model):
+    # the prefix-sum pair sums equal sum w_j w_k a U conj(a) on complex,
+    # non-orthogonal orbitals, for every (l, l') <= 2
+    rng = np.random.default_rng(404)
+    g = make_grid(kind, 500, 25.0)
+    table = build_kernel_table(g, build_coefficient_table(2))
+    if model == "rhf":
+        shells = tuple(ShellSpec(l) for l in (0, 1, 2, 0))
+    else:
+        shells = tuple(ShellSpec(l, ALPHA) for l in (0, 1, 2)) + tuple(
+            ShellSpec(l, BETA) for l in (2, 0, 1, 1)
+        )
+    config = Configuration(Z=6.0, model=model, shells=shells)
+    for _ in range(3):
+        orbs = [
+            RadialFunction(
+                g, f.values * np.exp(1j * rng.uniform(-2, 2) * np.tanh(g.points))
+            )
+            for f in random_orbital_set(rng, g, config)
+        ]
+        dense = dense_exchange_energy(config, orbs, table)
+        assert dense > 0
+        assert abs(total_energy(config, orbs, table).exchange - dense) <= 1e-13 * dense
+
+
+def test_global_phase_invariance(grid300, table300, rng):
+    config = Configuration(Z=5.0, model="rhf", shells=(ShellSpec(0), ShellSpec(2)))
+    orbs = random_orbital_set(rng, grid300, config)
+    e0 = rhf_energy(config, orbs, table300).total
+    rotated = [
+        RadialFunction(grid300, f.values * np.exp(1j * phi))
+        for f, phi in zip(orbs, (0.3, -1.9))
+    ]
+    assert rhf_energy(config, rotated, table300).total == pytest.approx(
+        e0, rel=1e-12
+    )
+
+
 def test_unitary_mixing_invariance(grid300, table300, rng):
     # mixing orbitals of equal angular momentum by any unitary leaves the
     # restricted energy unchanged
@@ -105,6 +194,20 @@ def test_unitary_mixing_invariance(grid300, table300, rng):
     assert worst <= 1e-10
 
 
+def test_shell_decomposition_identity(grid300, table300, rng):
+    # without + single_particle + self_pair reproduces the total exactly
+    for _ in range(100):
+        config = random_config(rng, max_shells=4, max_l=2, Z=float(rng.uniform(2, 9)))
+        orbs = random_orbital_set(rng, grid300, config)
+        total = rhf_energy(config, orbs, table300).total
+        i = int(rng.integers(0, config.n_shells))
+        dec = decompose_shell(config, orbs, table300, i)
+        assert dec.total == pytest.approx(total, rel=1e-10, abs=1e-12)
+        assert dec.without + dec.single_particle + dec.self_pair == pytest.approx(
+            total, rel=1e-10, abs=1e-12
+        )
+
+
 def test_decomposition_of_empty_shell(grid300, table300, rng):
     config = Configuration(Z=4.0, model="rhf", shells=(ShellSpec(0), ShellSpec(1)))
     orbs = random_orbital_set(rng, grid300, config)
@@ -126,6 +229,27 @@ def _normalized_direction(grid, rng, l=0, complex_phase=False):
         vals = vals * np.exp(1j * rng.uniform(0, 2 * np.pi))
     f = RadialFunction(grid, vals)
     return RadialFunction(grid, vals / f.norm())
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("complex_phase", [False, True])
+def test_second_order_taylor_remainder(grid300, table300, rng, lam, complex_phase):
+    config = Configuration(
+        Z=5.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1))
+    )
+    orbs = random_orbital_set(rng, grid300, config)
+    h = _normalized_direction(grid300, rng, l=0, complex_phase=complex_phase)
+    e0 = rhf_energy(config, orbs, table300).total
+    c1 = first_order_coefficient(config, orbs, table300, 1, h)
+    c2 = second_order_coefficient(config, orbs, table300, 1, h, lam)
+    remainders = []
+    for d in (1e-2, 5e-3):
+        scale = math.sqrt(1.0 + lam * d * d)
+        pert = list(orbs)
+        pert[1] = RadialFunction(grid300, (orbs[1].values + d * h.values) / scale)
+        e_d = rhf_energy(config, pert, table300).total
+        remainders.append(abs(e_d - e0 - d * c1 - d * d * c2))
+    assert remainders[0] / max(remainders[1], 1e-18) >= 7.0
 
 
 @pytest.mark.parametrize("complex_phase", [False, True])
@@ -189,6 +313,15 @@ def test_first_order_vanishes_at_scaling_optimum(he_config, he_grid, he_table):
 
 # ---------------------------------------------------------------------------
 # Variational lower bound
+
+
+def test_lower_bound_sits_below_energy(grid300, table300, rng):
+    for _ in range(50):
+        config = random_config(rng, max_shells=3, max_l=2)
+        orbs = random_orbital_set(rng, grid300, config)
+        e0 = rhf_energy(config, orbs, table300).total
+        for eps in (0.05, 0.2, 1.0 / config.Z, 1.0):
+            assert lower_bound(config, orbs, eps) <= e0 + 1e-10
 
 
 def test_lower_bound_of_zero_orbitals(grid300, rng):

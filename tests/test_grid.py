@@ -7,6 +7,7 @@ import pytest
 
 from radialhf import (
     RadialFunction,
+    coulomb_expectation,
     derivative_sq_norm,
     inner,
     integrate,
@@ -61,6 +62,15 @@ def test_make_grid_rejects_bad_arguments(kind, n, r_max, gamma):
 # Quadrature
 
 
+def test_linear_integrand_exact_up_to_wall_term():
+    # Dirichlet walls drop the outer endpoint: the trapezoid value of the
+    # identity function is exactly r_max^2/2 - h*r_max/2 on a uniform grid.
+    for n in (10, 100, 999):
+        g = make_grid("uniform", n, 1.0)
+        h = 1.0 / (n + 1)
+        assert integrate(g, g.points) == pytest.approx(0.5 - 0.5 * h, rel=1e-14)
+
+
 def test_quadrature_second_order_on_vanishing_functions():
     # f = 2 r e^{-r} has unit L^2 norm; halving h must cut the error ~4x.
     errors = []
@@ -80,6 +90,16 @@ def test_integrate_rejects_wrong_length():
 
 # ---------------------------------------------------------------------------
 # Norms, inner products, closed forms
+
+
+def test_hydrogenic_profile_closed_forms():
+    # f = 2 a^{3/2} r e^{-a r}: ||f|| = 1, ||f'||^2 = a^2, <f, f/r> = a.
+    g = make_grid("uniform", 2000, 20.0)
+    for a in (0.8, 1.0, 1.3):
+        f = RadialFunction(g, 2.0 * a**1.5 * g.points * np.exp(-a * g.points))
+        assert norm(f) == pytest.approx(1.0, abs=5e-4)
+        assert derivative_sq_norm(f) == pytest.approx(a * a, abs=5e-4)
+        assert coulomb_expectation(f) == pytest.approx(a, abs=5e-4)
 
 
 def test_zero_function_has_zero_norm_and_energy():
@@ -158,5 +178,3 @@ def test_kinetic_rejects_negative_l():
     f = RadialFunction(g, np.ones(50))
     with pytest.raises(ValueError):
         kinetic_quadratic_form(f, -1)
-
-

@@ -1,4 +1,4 @@
-"""Exchange kernels: closed forms, bounds, oracle, lazy tables, prefix sums."""
+"""Exchange kernels: closed forms, bounds, positivity, oracle, lazy tables, prefix sums."""
 
 from __future__ import annotations
 
@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from radialhf import (
     QuadratureAccuracyError,
+    apply_direct_kernel,
     apply_exchange_kernel,
     build_coefficient_table,
     build_kernel_table,
     make_grid,
     oracle_u_kernel,
+    p_kernel,
     u_kernel,
 )
 from util import eager_kernel_matrices
@@ -32,6 +34,19 @@ def test_s_channel_kernel_is_coulomb(coeffs4):
         assert u_kernel(0, 0, r, s, coeffs4) == pytest.approx(
             1.0 / max(r, s), rel=1e-15
         )
+
+
+def test_known_kernel_values(coeffs4):
+    # U_01(1, 2) = (1/3) * 1/4; U_11(1, 1) = 1/3 + 2/15 = 7/15
+    assert u_kernel(0, 1, 1.0, 2.0, coeffs4) == pytest.approx(1.0 / 12.0, rel=1e-14)
+    assert u_kernel(1, 1, 1.0, 1.0, coeffs4) == pytest.approx(7.0 / 15.0, rel=1e-14)
+
+
+def test_self_pair_kernel_values(coeffs4):
+    # P_l = (2l+1) * (2/max - U_ll); on the diagonal at r = 1:
+    # P_0(1,1) = 1, P_1(1,1) = 3 * (2 - 7/15) = 23/5.
+    assert p_kernel(0, 1.0, 1.0, coeffs4) == pytest.approx(1.0, rel=1e-14)
+    assert p_kernel(1, 1.0, 1.0, coeffs4) == pytest.approx(23.0 / 5.0, rel=1e-14)
 
 
 def test_kernel_rejects_nonpositive_radius(coeffs4):
@@ -58,7 +73,47 @@ def test_kernel_pointwise_properties(l, lp, r, s):
 
 
 # ---------------------------------------------------------------------------
-# Table accessors
+# Matrix bounds on a grid (acceptance criterion 2 re-runs these)
+
+
+def test_kernel_matrices_symmetric(table400):
+    for l, lp in KERNEL_PAIRS:
+        mat = table400.exchange(l, lp)
+        assert np.array_equal(mat, mat.T)
+
+
+def test_kernel_matrices_bounded_by_coulomb(table400):
+    r = table400.grid.points
+    coulomb = 1.0 / np.maximum.outer(r, r)
+    for l, lp in KERNEL_PAIRS:
+        mat = table400.exchange(l, lp)
+        assert np.all(mat >= 0.0)
+        assert np.all(mat <= coulomb * (1.0 + 1e-12))
+
+
+def test_diagonal_pair_kernels_have_coulomb_floor(table400):
+    r = table400.grid.points
+    coulomb = 1.0 / np.maximum.outer(r, r)
+    for l in range(5):
+        mat = table400.exchange(l, l)
+        floor = coulomb / (2 * l + 1)
+        assert np.all(mat >= floor * (1.0 - 1e-12))
+
+
+def test_kernel_operators_positive_semidefinite(table400):
+    g = table400.grid
+    rng = np.random.default_rng(42)
+    for l, lp in [(0, 0), (1, 1), (0, 2), (2, 2)]:
+        kernel = table400.exchange(l, lp)
+        for _ in range(20):
+            a = rng.uniform(0.2, 2.0)
+            c = rng.uniform(1.0, 15.0)
+            gv = np.exp(-a * (g.points - c) ** 2) * rng.uniform(0.5, 2.0)
+            sym = (gv * np.sqrt(g.weights))[:, None] * kernel * (
+                gv * np.sqrt(g.weights)
+            )[None, :]
+            eigs = np.linalg.eigvalsh(sym)
+            assert eigs.min() >= -1e-10 * np.abs(eigs).max()
 
 
 def test_exchange_accessor_canonicalizes_pair_order(table400):
@@ -72,6 +127,17 @@ def test_exchange_rejects_out_of_range_pair(table400):
 
 # ---------------------------------------------------------------------------
 # Quadrature oracle
+
+
+def test_oracle_coulomb_value():
+    assert oracle_u_kernel(0, 0, 1.0, 2.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_oracle_matches_closed_form_at_spot_values(coeffs4):
+    for l, lp, r, s in [(1, 1, 1.0, 2.0), (2, 4, 0.5, 3.0), (3, 3, 2.0, 2.0)]:
+        assert oracle_u_kernel(l, lp, r, s) == pytest.approx(
+            u_kernel(l, lp, r, s, coeffs4), abs=1e-10
+        )
 
 
 def test_oracle_accuracy_guard_trips_on_impossible_tolerance():
@@ -97,6 +163,45 @@ def test_s_only_table_exchange_equals_direct():
 def test_direct_matrix_is_coulomb(table400):
     r = table400.grid.points
     np.testing.assert_allclose(table400.direct, 1.0 / np.maximum.outer(r, r))
+
+
+def test_apply_direct_kernel_matches_matrix(table400):
+    g = table400.grid
+    rng = np.random.default_rng(5)
+    density = np.abs(rng.standard_normal(g.n)) * np.exp(-0.3 * g.points)
+    via_matrix = table400.direct @ (g.weights * density)
+    np.testing.assert_allclose(
+        apply_direct_kernel(g, density), via_matrix, rtol=1e-13, atol=1e-15
+    )
+
+
+def test_apply_direct_kernel_complex_density(table400):
+    g = table400.grid
+    rng = np.random.default_rng(6)
+    density = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)) * np.exp(-0.3 * g.points)
+    via_matrix = table400.direct @ (g.weights * density)
+    np.testing.assert_allclose(
+        apply_direct_kernel(g, density), via_matrix, rtol=1e-13, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+def test_exchange_apply_matches_table(kind):
+    # prefix sums reproduce the dense product for every pair, on vectors
+    # and blocks, real and complex
+    g = make_grid(kind, 500, 25.0)
+    table = build_kernel_table(g, build_coefficient_table(2))
+    rng = np.random.default_rng(23)
+    real = rng.standard_normal((g.n, 3))
+    block = real + 1j * rng.standard_normal((g.n, 3))
+    inputs = [real[:, 0], block[:, 1], real, block]
+    for l in range(3):
+        for lp in range(3):
+            for y in inputs:
+                dense = table.exchange(l, lp) @ y
+                fast = apply_exchange_kernel(table, l, lp, y)
+                assert fast.shape == dense.shape
+                assert np.linalg.norm(fast - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 def test_exchange_apply_rejects_bad_inputs(table400):
@@ -152,4 +257,3 @@ def test_lazy_matrices_equal_eager_formula(kind):
         assert np.array_equal(table.exchange(lp, l), exchange[(l, lp)])
         assert table.exchange(lp, l) is table.exchange(l, lp)  # cached once
     assert np.array_equal(table.direct, direct)
-

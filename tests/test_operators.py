@@ -17,9 +17,11 @@ from radialhf import (
     apply_direct_kernel,
     build_coefficient_table,
     build_kernel_table,
+    coulomb_expectation,
     fock_matrix,
     hydrogenic_matrix,
     inner,
+    kinetic_quadratic_form,
     lowest_eigenpairs,
     make_grid,
     mean_field,
@@ -39,12 +41,37 @@ def coarse_hydrogen():
 # Hydrogenic spectra (closed-form eigenvalues -Z^2/(4 n^2))
 
 
+def test_hydrogen_s_series(coarse_hydrogen):
+    _, eps, _ = coarse_hydrogen
+    assert eps[0] == pytest.approx(-0.25, abs=5e-4)
+    assert eps[1] == pytest.approx(-0.0625, abs=5e-4)
+
+
+def test_hydrogen_p_ground():
+    g = make_grid("uniform", 1200, 40.0)
+    eps, _ = lowest_eigenpairs(hydrogenic_matrix(g, 1, 1.0), 1)
+    assert eps[0] == pytest.approx(-0.0625, abs=5e-4)
+
+
+def test_helium_like_second_s_level():
+    g = make_grid("uniform", 1500, 25.0)
+    eps, _ = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 2)
+    assert eps[1] == pytest.approx(-0.25, abs=5e-4)
+
+
 def test_accidental_degeneracy_across_channels():
     # the n = 2 level appears in both the l = 0 and l = 1 channels
     g = make_grid("uniform", 1500, 45.0)
     eps_s, _ = lowest_eigenpairs(hydrogenic_matrix(g, 0, 1.0), 2)
     eps_p, _ = lowest_eigenpairs(hydrogenic_matrix(g, 1, 1.0), 1)
     assert eps_s[1] == pytest.approx(eps_p[0], abs=2e-4)
+
+
+def test_spectral_floor():
+    g = make_grid("uniform", 500, 25.0)
+    for Z in (1.0, 2.0, 5.0):
+        eps, _ = lowest_eigenpairs(hydrogenic_matrix(g, 0, Z), 1)
+        assert eps[0] >= -Z * Z - 1e-9
 
 
 def test_hydrogenic_matrix_rejects_bad_inputs():
@@ -57,6 +84,23 @@ def test_hydrogenic_matrix_rejects_bad_inputs():
 
 # ---------------------------------------------------------------------------
 # Eigenvector quality
+
+
+def test_eigenvectors_orthonormal(coarse_hydrogen):
+    _, _, vecs = coarse_hydrogen
+    gram = np.array([[inner(a, b) for b in vecs] for a in vecs])
+    np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
+
+
+def test_quadratic_form_consistency(coarse_hydrogen):
+    g, eps, vecs = coarse_hydrogen
+    h0 = hydrogenic_matrix(g, 0, 1.0)
+    for rank in range(3):
+        f = vecs[rank]
+        q = h0.bilinear(f, f)
+        assembled = kinetic_quadratic_form(f, 0) - coulomb_expectation(f)
+        assert q == pytest.approx(eps[rank], abs=1e-10)
+        assert q == pytest.approx(assembled, abs=1e-8)
 
 
 def test_sign_convention_deterministic(coarse_hydrogen):

@@ -27,6 +27,7 @@ from radialhf import (
     theorem_report,
 )
 from radialhf import scf
+from radialhf.validate import HELIUM_ORACLE_ENERGY, HELIUM_ORACLE_LEVEL
 from util import eigh_pairs, random_orbital
 
 # Exponential-trial minimum 2a^2 - 27a/8 at a = 27/32: the converged
@@ -38,6 +39,16 @@ HELIUM_TRIAL_BOUND = -729.0 / 512.0
 # Helium anchor scenario
 
 
+def test_helium_energy_matches_independent_solver(he_state):
+    # n = 2000 carries an O(h^2) offset ~2e-5 from the extrapolated limit
+    assert he_state.converged
+    assert he_state.energy == pytest.approx(HELIUM_ORACLE_ENERGY, abs=1e-4)
+
+
+def test_helium_level_matches_independent_solver(he_state):
+    assert he_state.eigenvalues[0] == pytest.approx(HELIUM_ORACLE_LEVEL, abs=1e-4)
+
+
 def test_helium_below_trial_upper_bound(he_state):
     assert he_state.energy <= HELIUM_TRIAL_BOUND
 
@@ -46,6 +57,10 @@ def test_helium_converges_quickly(he_state):
     assert he_state.iterations < 100
     assert he_state.norms[0] == pytest.approx(1.0, abs=1e-10)
     assert not he_state.marginal[0]
+
+
+def test_helium_grid_refinement_is_stable(he_state, he3000_state):
+    assert abs(he3000_state.energy - he_state.energy) < 1e-3
 
 
 def test_helium_fixed_point_consistency(he_state, he_table):
@@ -76,9 +91,45 @@ def test_residuals_meet_tolerance(he_state, ne_state, hminus_state):
 # Multi-shell structure: neon and the anion scenarios
 
 
+def test_neon_structure(ne_state):
+    assert ne_state.converged
+    assert np.all(ne_state.eigenvalues < 0)
+    np.testing.assert_allclose(ne_state.norms, 1.0, atol=1e-6)
+    # core below valence; s below p within n = 2
+    assert ne_state.eigenvalues[0] < ne_state.eigenvalues[1] < ne_state.eigenvalues[2]
+
+
+def test_neon_same_channel_orbitals_orthonormal(ne_state):
+    f1, f2 = ne_state.orbitals[0], ne_state.orbitals[1]
+    gram = np.array(
+        [[inner(f1, f1), inner(f1, f2)], [inner(f2, f1), inner(f2, f2)]]
+    )
+    np.testing.assert_allclose(gram, np.eye(2), atol=1e-8)
+
+
+def test_neon_report_clean(ne_state):
+    rep = theorem_report(ne_state)
+    assert rep.regime == "Z > N-1"
+    assert rep.clause_i and rep.clause_ii and rep.clause_iii
+    assert rep.notes == ()
+    assert rep.all_satisfied
+
+
 def test_norms_never_exceed_one(he_state, ne_state, hminus_state, fminus_state):
     for state in (he_state, ne_state, hminus_state, fminus_state):
         assert np.all(state.norms <= 1.0 + 1e-10)
+
+
+def test_hydride_saturates(hminus_state):
+    # Z = N - 1: the norm fills even though the level is barely bound
+    assert hminus_state.converged
+    assert hminus_state.norms[0] == pytest.approx(1.0, abs=1e-6)
+    rep = theorem_report(hminus_state)
+    assert rep.regime == "Z = N-1"
+    assert rep.clause_ii
+    assert rep.clause_iii is None  # hypothesis Z > N-1 is vacuous here
+    print(f"  hydride level (sign reported, not asserted): "
+          f"{hminus_state.eigenvalues[0]:+.6f}")
 
 
 def test_fluoride_analog_saturates(fminus_state):
@@ -91,6 +142,19 @@ def test_fluoride_analog_saturates(fminus_state):
     print(f"  fluoride-analog levels (signs reported, not asserted): {levels}")
 
 
+def test_spinless_ion_corollary(z3_setup):
+    state, table = z3_setup
+    assert state.converged
+    rep = corollary_inequalities(state, table)
+    assert rep.charge_matches
+    assert rep.full_energy <= rep.single_orbital_bound == pytest.approx(-2.25)
+    assert rep.energy_without_s >= rep.remainder_bound == pytest.approx(-27.0 / 16.0)
+    assert rep.shell_condition_holds
+    assert rep.bounds_separate
+    assert rep.all_satisfied
+    np.testing.assert_allclose(state.norms, 1.0, atol=1e-8)
+
+
 def test_corollary_rejects_wrong_model(he_state):
     with pytest.raises(ValueError):
         corollary_inequalities(he_state)
@@ -98,6 +162,26 @@ def test_corollary_rejects_wrong_model(he_state):
 
 # ---------------------------------------------------------------------------
 # Occupation rules
+
+
+def test_occupy_drops_positive_levels(he_grid):
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0)))
+    eps, funcs = lowest_eigenpairs(hydrogenic_matrix(he_grid, 0, 2.0), 2)
+    pairs = {(None, 0): (np.array([-0.5, 0.4]), funcs)}
+    occ = occupy(config, pairs)
+    assert occ.norms[0] == pytest.approx(1.0, abs=1e-10)
+    assert occ.norms[1] == 0.0
+    assert np.all(occ.orbitals[1].values == 0.0)
+    assert occ.marginal == (False, False)
+
+
+def test_occupy_flags_marginal_levels(he_grid):
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    eps, funcs = lowest_eigenpairs(hydrogenic_matrix(he_grid, 0, 2.0), 1)
+    pairs = {(None, 0): (np.array([5e-9]), funcs)}
+    occ = occupy(config, pairs, tol_zero=1e-8)
+    assert occ.marginal == (True,)
+    assert occ.norms[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_occupy_requires_every_channel(he_grid):
@@ -230,11 +314,46 @@ def test_solve_rejects_foreign_table(he_config, he_table):
 # Far-field probe mechanism
 
 
+def test_bump_profile_shape(he_wide_grid):
+    bump = make_bump(he_wide_grid, 10.0)
+    r = he_wide_grid.points
+    vals = bump.profile.values
+    assert np.all(vals[(r <= 10.0) | (r >= 20.0)] == 0.0)
+    assert vals[(r > 10.5) & (r < 19.5)].min() > 0.0
+    assert bump.profile.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_bump_requires_room(he_grid):
+    with pytest.raises(ValueError, match="need r_max >= 60"):
+        make_bump(he_grid, 30.0)  # he_grid extends to 15 only
+    with pytest.raises(ValueError):
+        make_bump(he_grid, -1.0)
+
+
+def test_minimizer_probes_nonnegative_helium(he_wide_state, he_wide_table):
+    results = probe_shell(
+        he_wide_state, 0, [5.0, 10.0, 20.0, 40.0], 1.0, he_wide_table
+    )
+    for res in results:
+        assert res.coefficient >= -1e-6
+
+
 def test_minimizer_probes_nonnegative_neon(ne_wide_state, ne_wide_table):
     for shell in range(3):
         for res in probe_shell(ne_wide_state, shell, [5.0, 10.0, 20.0], 1.0,
                                ne_wide_table):
             assert res.coefficient >= -1e-6
+
+
+def test_depleted_shell_admits_descent_direction(depleted_state, he_wide_table):
+    results = probe_shell(depleted_state, 0, [5.0, 10.0, 20.0, 40.0], 0.0,
+                          he_wide_table)
+    coeffs = {res.R: res.coefficient for res in results}
+    assert min(coeffs.values()) < -1e-3  # some R exposes the descent
+    # structure: self-repulsion dominates near the shell, the unscreened
+    # tail of the nuclear attraction wins far out
+    assert coeffs[10.0] > 1e-3
+    assert coeffs[40.0] < -1e-3
 
 
 def test_lambda_term_is_exact_on_converged_state(he_state, he_table):

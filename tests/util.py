@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: random inputs, references, kernels.
 
-The random orbitals, configurations and bumps are the catalogue's own
-(:mod:`radialhf.validate`), so the tests and ``radialhf validate`` draw
-from one family.
+The random orbitals, configurations and bumps, and the dense exchange
+energy, are the catalogue's own (:mod:`radialhf.validate`), so the tests
+and ``radialhf validate`` draw from one family.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from radialhf import (
     mean_field,
 )
 from radialhf.validate import (  # noqa: F401  (re-exported for the tests)
+    dense_exchange_energy,
     random_config,
     random_orbital,
     random_orbital_set,
