@@ -120,9 +120,10 @@ def oracle_u_kernel(
     """Quadrature oracle for the exchange kernel (independent route).
 
     Integrates the sphere-averaged Coulomb interaction directly, without
-    any 3j input.  The error estimate is the difference between the rule
-    with ``order`` nodes per panel and the doubled rule; the doubled-rule
-    value is returned.
+    any 3j input.  The doubled rule, with ``2 * order`` nodes per panel,
+    gives the returned value; only when ``tol`` is given is the rule with
+    ``order`` nodes run as well, its difference from the doubled rule
+    being the error estimate.
 
     Parameters
     ----------
@@ -174,14 +175,14 @@ def oracle_u_kernel(
             for a, b in zip(breaks[:-1], breaks[1:])
         )
 
-    coarse = run(order)
     fine = run(2 * order)
-    est = abs(fine - coarse)
-    if tol is not None and est > tol:
-        raise QuadratureAccuracyError(
-            f"oracle_u_kernel(l={l}, lp={lp}, r={r}, s={s}): estimated "
-            f"quadrature error {est:.3e} exceeds tolerance {tol:.3e}"
-        )
+    if tol is not None:
+        est = abs(fine - run(order))
+        if est > tol:
+            raise QuadratureAccuracyError(
+                f"oracle_u_kernel(l={l}, lp={lp}, r={r}, s={s}): estimated "
+                f"quadrature error {est:.3e} exceeds tolerance {tol:.3e}"
+            )
     return fine
 
 

@@ -26,7 +26,13 @@ by ``B`` in O(n) per factor column through the semiseparable kernel
 apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs one
 preconditioned LOBPCG for every operator with exchange or a level shift;
 the dense cutoff only selects how it applies ``B``: as one product with
-the dense matrix at or below it, through ``apply`` above it.
+the dense matrix at or below it, through ``apply`` above it.  A solve is
+strict by default: each pair converges to the rounding scale of the
+product with the tridiagonal part.  Given a warm start and a
+``reduction``, it is inexact: each pair may stop once its residual has
+fallen by that factor from its start vector's.  The self-consistent loop
+asks for inexact solves, since its iterates need not be exact
+eigenpairs, and for a strict one at the fixed point.
 """
 
 from __future__ import annotations
@@ -316,6 +322,7 @@ def _lobpcg(
     start: np.ndarray | None,
     tol: float | None,
     apply: Callable[[np.ndarray], np.ndarray],
+    floor: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest pairs by LOBPCG on ``apply``, a product with ``B``.
 
@@ -323,7 +330,8 @@ def _lobpcg(
     the last wanted pair when the spectrum above it is dense (diffuse or
     unbound levels in a wide box); only the wanted pairs must converge,
     each to ``_LOBPCG_FACTOR`` times the rounding scale ``||T| |x||`` or
-    to ``tol``, whichever is smaller.  Each step applies the operator to
+    to ``tol``, whichever is smaller, or to its entry of ``floor`` where
+    that is larger.  Each step applies the operator to
     the orthonormalized preconditioned residuals and previous directions,
     and a Rayleigh-Ritz step on ``[X, W, P]`` gives the next block.  The
     preconditioner is the tridiagonal part ``T`` shifted just below its
@@ -356,6 +364,8 @@ def _lobpcg(
         target = _LOBPCG_FACTOR * _rounding_scale(fock, X[:, :count])
         if tol is not None:
             target = np.minimum(target, tol)
+        if floor is not None:
+            target = np.maximum(target, floor)
         if np.all(np.linalg.norm(R[:, :count], axis=0) <= target):
             break
         W = sla.cho_solve_banded((chol, True), R, check_finite=False)
@@ -378,6 +388,7 @@ def lowest_eigenpairs(
     dense_cutoff: int = DENSE_CUTOFF,
     start: Sequence[RadialFunction] | None = None,
     tol: float | None = None,
+    reduction: float | None = None,
 ) -> tuple[np.ndarray, list[RadialFunction]]:
     """The ``count`` lowest eigenvalues and eigenfunctions of a Fock operator.
 
@@ -396,14 +407,18 @@ def lowest_eigenpairs(
     eigenfunctions) or else from the tridiagonal part's lowest
     eigenvectors, and stops once each residual is at the rounding scale
     of the product with the tridiagonal part or, when given, below
-    ``tol``.
+    ``tol``.  With both ``start`` and ``reduction`` given the solve is
+    inexact: pair ``j`` may stop once its residual is below
+    ``reduction`` times the residual of start vector ``j`` at its
+    Rayleigh quotient, when that floor is looser than the strict target.
 
     Raises
     ------
     EigensolverError
-        If a residual ``|B u - e u|`` exceeds ``1e-10`` times the rounding
-        scale ``||T| |u||`` of its own vector, or if the shifted
-        tridiagonal part is not positive definite.
+        If a residual ``|B u - e u|`` exceeds both ``1e-10`` times the
+        rounding scale ``||T| |u||`` of its own vector and, in an inexact
+        solve, the pair's floor; or if the shifted tridiagonal part is not
+        positive definite.
     """
     n = fock.grid.n
     if not 1 <= count <= n - 2:
@@ -411,6 +426,7 @@ def lowest_eigenpairs(
     if start is not None and len(start) != count:
         raise ValueError(f"start holds {len(start)} functions, expected {count}")
     sq = np.sqrt(fock.grid.weights)
+    floor = None
     if not fock.exchange and not fock.level_shift:
         eps, vecs = sla.eigh_tridiagonal(
             fock.diag, fock.off, select="i", select_range=(0, count - 1)
@@ -418,10 +434,18 @@ def lowest_eigenpairs(
     else:
         x0 = None if start is None else np.column_stack([sq * f.values for f in start])
         apply = fock.matrix.__matmul__ if n <= dense_cutoff else fock.apply
-        eps, vecs = _lobpcg(fock, count, x0, tol, apply)
+        if reduction is not None and x0 is not None:
+            norms = np.linalg.norm(x0, axis=0)
+            u = x0 / np.where(norms > 0.0, norms, 1.0)  # a zero vector: floor 0
+            Bu = apply(u)
+            rayleigh = np.real(np.sum(np.conj(u) * Bu, axis=0))
+            floor = reduction * np.linalg.norm(Bu - u * rayleigh, axis=0)
+        eps, vecs = _lobpcg(fock, count, x0, tol, apply, floor)
 
     resid = np.linalg.norm(fock.apply(vecs) - vecs * eps[np.newaxis, :], axis=0)
     bound = _RESIDUAL_FACTOR * _rounding_scale(fock, vecs)
+    if floor is not None:
+        bound = np.maximum(bound, floor)
     worst = int(np.argmax(resid / bound))
     if resid[worst] > bound[worst]:
         raise EigensolverError(

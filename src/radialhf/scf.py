@@ -190,6 +190,20 @@ def occupy(
     )
 
 
+# Each eigensolve inside the loop stops once every wanted residual is this
+# fraction of its warm-start residual (or meets the strict target, if that
+# is looser).  Over the SCF solves of He, Be, Ne and Ar (exponential
+# n = 800, 800, 800, 600), N = 10 ions at Z = 8..12 and Li, Be and the
+# Z = 3 spinless ion in UHF (exponential n = 600), He at uniform n = 2600
+# and configs/{helium,neon,lithium_uhf}.json, LOBPCG took 1104 steps in
+# all against 3276 with strict in-loop solves (Ar: 101 against 311), and
+# its time fell from 9.2 to 5.1 s (one run each, one BLAS thread).
+# Iteration and rejection counts were the same for 1e-3, 1e-2 and 3e-2,
+# and converged energies within 4e-15 relative of the strict ones; at 1e-1
+# the ion at Z = 11 took 17 iterations and 1 rejection instead of 14 and 0.
+_INEXACT_REDUCTION = 1e-2
+
+
 def _diagonalize_all(
     table: KernelTable,
     config: Configuration,
@@ -199,10 +213,15 @@ def _diagonalize_all(
     level_shift: float,
     options: ScfOptions,
     start: Mapping[ChannelKey, tuple[np.ndarray, Sequence[RadialFunction]]],
+    reduction: float | None,
 ) -> dict[ChannelKey, tuple[np.ndarray, list[RadialFunction]]]:
     # The iterative eigensolver targets half the residual tolerance, so
     # that on fine grids, where its rounding-scale target grows as 1/h^2,
-    # it does not keep the convergence check from passing.
+    # it does not keep the convergence check from passing.  Inside the
+    # loop a ``reduction`` makes each eigensolve inexact: a pair may stop
+    # once its residual has fallen by that factor from the warm start's,
+    # since only the fixed point needs exact eigenpairs; the final polish
+    # passes None and is strict.
     tol = 0.5 * options.tol_residual
     out = {}
     for key, shell_idx in config.channels().items():
@@ -212,7 +231,12 @@ def _diagonalize_all(
             if u is not None and u.size:
                 fock = replace(fock, level_shift=level_shift, occupied=u)
         out[key] = lowest_eigenpairs(
-            fock, len(shell_idx), options.dense_cutoff, start=start[key][1], tol=tol
+            fock,
+            len(shell_idx),
+            options.dense_cutoff,
+            start=start[key][1],
+            tol=tol,
+            reduction=reduction,
         )
     return out
 
@@ -340,7 +364,7 @@ def solve(
             occupied_u = _occupied_vectors(config, orbitals, grid) if beta > 0 else None
             # The previous eigenfunctions warm-start the iterative solver.
             pairs = _diagonalize_all(
-                table, config, *field, occupied_u, beta, options, pairs
+                table, config, *field, occupied_u, beta, options, pairs, _INEXACT_REDUCTION
             )
             occ_new = occupy(config, pairs, options.tol_zero)
             bd_new = total_energy(config, occ_new.orbitals, table)
@@ -396,7 +420,7 @@ def solve(
             # Undamped polish: make the occupied orbitals eigenfunctions of
             # the Fock matrices built from the converged state itself.
             pairs = _diagonalize_all(
-                table, config, *mean_field(config, orbitals), None, 0.0, options, pairs
+                table, config, *mean_field(config, orbitals), None, 0.0, options, pairs, None
             )
             occ_fin = occupy(config, pairs, options.tol_zero)
             orbitals = occ_fin.orbitals

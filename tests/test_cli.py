@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -331,3 +332,12 @@ def test_validate_exits_3_when_a_check_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  demo/always-off" in out
     assert "0/1 checks passed (quick)" in out
+
+
+def test_package_runs_as_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "radialhf", "validate", "--help"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: radialhf validate")

@@ -233,6 +233,22 @@ def test_residual_bound_follows_each_vector(monkeypatch):
         lowest_eigenpairs(fock, count)
 
 
+def test_inexact_solve_checks_its_loosened_target(monkeypatch):
+    # an inexact solve may stop once each residual is 1e-2 of its start
+    # vector's, and its check allows that much; a pair left at the start,
+    # which misses that target, still raises
+    fock, count, start = _level_shifted_helium()
+    for cutoff in (100, 1000):  # matrix-free and dense apply
+        assert lowest_eigenpairs(fock, count, cutoff, start=start, reduction=1e-2)
+
+    def no_steps(fock, count, x0, tol, apply, floor):
+        return np.sum(x0 * apply(x0), axis=0), x0
+
+    monkeypatch.setattr(operators, "_lobpcg", no_steps)
+    with pytest.raises(EigensolverError, match="exceeds"):
+        lowest_eigenpairs(fock, count, start=start, reduction=1e-2)
+
+
 @pytest.fixture(scope="module")
 def neon_like_focks(table400):
     g = table400.grid

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from radialhf import (
     theorem_report,
 )
 from radialhf import scf
+from radialhf.cli import load_config
 from radialhf.validate import HELIUM_ORACLE_ENERGY, HELIUM_ORACLE_LEVEL
 from util import eigh_pairs, random_orbital
 
@@ -241,7 +244,8 @@ def test_factored_mix_equals_dense_mix(table400):
             assert np.max(np.abs(gamma - expected[key])) <= 1e-13 * np.max(np.abs(expected[key]))
 
 
-@pytest.mark.parametrize(
+# Neon in RHF and lithium in UHF: exchange in one or two spin channels.
+_NEON_AND_LITHIUM = pytest.mark.parametrize(
     "config",
     [
         Configuration(Z=10.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1))),
@@ -253,6 +257,9 @@ def test_factored_mix_equals_dense_mix(table400):
     ],
     ids=["neon-rhf", "lithium-uhf"],
 )
+
+
+@_NEON_AND_LITHIUM
 def test_iterative_path_matches_dense_solve(config, monkeypatch):
     # the cutoff lowered below n sends every eigensolve with exchange to the
     # matrix-free apply; both paths match a solve whose every eigensolve is
@@ -268,6 +275,37 @@ def test_iterative_path_matches_dense_solve(config, monkeypatch):
     for a, b in ((iterative, dense), (iterative, reference), (dense, reference)):
         assert a.energy == pytest.approx(b.energy, rel=1e-10)
         assert (a.iterations, a.rejections) == (b.iterations, b.rejections)
+
+
+@_NEON_AND_LITHIUM
+def test_inexact_eigensolves_match_strict_solve(config, monkeypatch):
+    # in-loop eigensolves that stop at a reduction of their warm-start
+    # residual take the same steps to the same fixed point as strict ones
+    grid = make_grid("exponential", 400, 30.0)
+    inexact = solve(config, grid)
+    real = scf.lowest_eigenpairs
+    monkeypatch.setattr(
+        scf, "lowest_eigenpairs", lambda *args, reduction=None, **kw: real(*args, **kw)
+    )
+    strict = solve(config, grid)
+    assert inexact.converged and strict.converged
+    assert (inexact.iterations, inexact.rejections) == (strict.iterations, strict.rejections)
+    assert inexact.energy == pytest.approx(strict.energy, rel=1e-12)
+    for state in (inexact, strict):
+        assert state.residuals.max() <= ScfOptions().tol_residual
+
+
+@pytest.mark.parametrize(
+    "name, iterations, rejections",
+    [("helium", 13, 0), ("neon", 20, 1), ("lithium_uhf", 22, 0)],
+)
+def test_example_configs_meet_iteration_gate(name, iterations, rejections):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    config, grid, options, _ = load_config(path)
+    state = solve(config, grid, options=options)
+    assert state.converged, state.message
+    assert state.iterations <= iterations
+    assert state.rejections <= rejections
 
 
 def test_eigensolver_failure_is_reported_not_raised(monkeypatch, he_config):
