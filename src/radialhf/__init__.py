@@ -4,8 +4,10 @@ The package solves the radial self-consistent field problem for an atom
 whose state is a list of ``(l, spin)`` shells with relaxed norm
 constraints (each radial orbital has norm 0 or 1 at a minimizer).  It
 exposes the energy functionals, the radial Fock operators with exact
-angular exchange kernels, a damped SCF solver, far-field probes of
-minimality, and structural reports checking the bound-state guarantees.
+angular exchange kernels, an SCF solver that mixes the mean field
+toward each Roothaan proposal and halves its step whenever a proposal
+raises the energy, far-field probes of minimality, and structural
+reports checking the bound-state guarantees.
 
 Radial units: kinetic energy is ``|f'|^2`` without the 1/2, so the
 one-electron levels sit at ``-Z^2/(4 n^2)``; multiply totals by 2 for

@@ -110,41 +110,32 @@ def _parse_grid(raw: Any, config: Configuration) -> RadialGrid:
         "grid.n",
         "must be an integer in [2, 100000]",
     )
+    # The eigensolver needs two points beyond the shells of each channel.
+    need = max(len(idx) for idx in config.channels().values()) + 2
+    _expect(n >= need, "grid.n", f"must be at least {need} for a channel of {need - 2} shells")
     r_max = raw.get("r_max", default.r_max)
     _expect(_is_number(r_max) and r_max > 0, "grid.r_max", "must be a positive number")
+    gamma = raw.get("gamma", 6.0)
     if kind == "uniform":
         _expect("gamma" not in raw, "grid.gamma", "only applies to exponential grids")
-        return make_grid("uniform", n, float(r_max))
-    gamma = raw.get("gamma", 6.0)
-    _expect(_is_number(gamma) and gamma > 0, "grid.gamma", "must be a positive number")
-    return make_grid("exponential", n, float(r_max), gamma=float(gamma))
+    else:
+        _expect(_is_number(gamma) and gamma > 0, "grid.gamma", "must be a positive number")
+    try:
+        return make_grid(kind, n, float(r_max), gamma=float(gamma))
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}")
 
 
 def _parse_scf(raw: Any) -> ScfOptions:
     if raw is None:
         return ScfOptions()
     _expect(isinstance(raw, dict), "scf", "must be an object")
-    allowed = {
-        "tol_energy",
-        "tol_residual",
-        "damping",
-        "max_iter",
-        "tol_zero",
-        "level_shift",
-    }
-    _check_keys(raw, "scf", allowed)
+    _check_keys(raw, "scf", {"tol_energy", "tol_residual", "max_iter"})
     kw: dict[str, Any] = {}
     for key in ("tol_energy", "tol_residual"):
         if key in raw:
             _expect(_is_number(raw[key]) and raw[key] > 0, f"scf.{key}", "must be > 0")
             kw[key] = float(raw[key])
-    if "damping" in raw:
-        _expect(
-            _is_number(raw["damping"]) and 0 < raw["damping"] <= 1,
-            "scf.damping",
-            "must be in (0, 1]",
-        )
-        kw["damping"] = float(raw["damping"])
     if "max_iter" in raw:
         v = raw["max_iter"]
         _expect(
@@ -153,16 +144,6 @@ def _parse_scf(raw: Any) -> ScfOptions:
             "must be a positive integer",
         )
         kw["max_iter"] = v
-    if "tol_zero" in raw:
-        _expect(_is_number(raw["tol_zero"]) and raw["tol_zero"] >= 0, "scf.tol_zero", "must be >= 0")
-        kw["tol_zero"] = float(raw["tol_zero"])
-    if "level_shift" in raw:
-        _expect(
-            _is_number(raw["level_shift"]) and raw["level_shift"] >= 0,
-            "scf.level_shift",
-            "must be >= 0",
-        )
-        kw["level_shift"] = float(raw["level_shift"])
     return ScfOptions(**kw)
 
 
@@ -251,10 +232,7 @@ def state_to_document(state: ScfState, options: ScfOptions) -> dict:
         "options": {
             "tol_energy": options.tol_energy,
             "tol_residual": options.tol_residual,
-            "damping": options.damping,
             "max_iter": options.max_iter,
-            "tol_zero": options.tol_zero,
-            "level_shift": options.level_shift,
         },
         "converged": state.converged,
         "iterations": state.iterations,

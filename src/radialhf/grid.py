@@ -143,7 +143,9 @@ def make_grid(kind: str, n: int, r_max: float, gamma: float = 6.0) -> RadialGrid
     Raises
     ------
     ValueError
-        On an unknown kind or non-positive sizes.
+        On an unknown kind or non-positive sizes, or when the points, the
+        weights or the kinetic stencil ``1/(h w)`` overflow or underflow
+        to a non-finite value (such as ``r_max = 1e-300``).
     """
     if kind not in _GRID_KINDS:
         raise ValueError(f"unknown grid kind {kind!r}; expected one of {_GRID_KINDS}")
@@ -153,17 +155,24 @@ def make_grid(kind: str, n: int, r_max: float, gamma: float = 6.0) -> RadialGrid
         raise ValueError(f"r_max must be > 0, got {r_max}")
     n = int(n)
     r_max = float(r_max)
-    if kind == "uniform":
-        h = r_max / (n + 1)
-        points = h * np.arange(1, n + 1, dtype=float)
-    else:
-        if not gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        x = np.arange(1, n + 1, dtype=float) / (n + 1)
-        points = r_max * np.expm1(gamma * x) / np.expm1(gamma)
-    extended = np.concatenate(([0.0], points, [r_max]))
-    spacings = np.diff(extended)
-    weights = 0.5 * (extended[2:] - extended[:-2])
+    if kind == "exponential" and not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if kind == "uniform":
+            points = r_max / (n + 1) * np.arange(1, n + 1, dtype=float)
+        else:
+            x = np.arange(1, n + 1, dtype=float) / (n + 1)
+            points = r_max * np.expm1(gamma * x) / np.expm1(gamma)
+        extended = np.concatenate(([0.0], points, [r_max]))
+        spacings = np.diff(extended)
+        weights = 0.5 * (extended[2:] - extended[:-2])
+        stencil = (1.0 / spacings[:-1] + 1.0 / spacings[1:]) / weights
+    if not all(np.all(np.isfinite(v)) for v in (points, weights, stencil)):
+        raise ValueError(
+            f"{kind} grid with n = {n}, r_max = {r_max}"
+            + (f", gamma = {gamma}" if kind == "exponential" else "")
+            + " has non-finite points, weights or kinetic stencil"
+        )
     return RadialGrid(
         kind=kind,
         n=n,

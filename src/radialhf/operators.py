@@ -24,9 +24,9 @@ A :class:`FockMatrix` never stores ``B``: it keeps the tridiagonal local
 part and the exchange factors, and :meth:`FockMatrix.apply` multiplies
 by ``B`` in O(n) per factor column through the semiseparable kernel
 apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs one
-preconditioned LOBPCG for every operator with exchange or a level shift;
-the dense cutoff only selects how it applies ``B``: as one product with
-the dense matrix at or below it, through ``apply`` above it.  A solve is
+preconditioned LOBPCG for every operator with exchange; the dense
+cutoff only selects how it applies ``B``: as one product with the dense
+matrix at or below it, through ``apply`` above it.  A solve is
 strict by default: each pair converges to the rounding scale of the
 product with the tridiagonal part.  Given a warm start and a
 ``reduction``, it is inexact: each pair may stop once its residual has
@@ -133,11 +133,10 @@ def _exchange_apply(
 class FockMatrix:
     """A symmetric one-channel operator in the weighted representation.
 
-    ``B = T + beta (I - O O^T) - sum_{l'} Gamma_{l'} o U_{l l'}``, where
-    ``T`` is tridiagonal (``diag``, ``off``: the kinetic stencil, the
-    centrifugal and nuclear terms and the direct potential), ``beta`` a
-    level shift away from the occupied vectors ``O``, and each exchange
-    term holds the factors ``(V, c)`` of a density matrix.
+    ``B = T - sum_{l'} Gamma_{l'} o U_{l l'}``, where ``T`` is
+    tridiagonal (``diag``, ``off``: the kinetic stencil, the centrifugal
+    and nuclear terms and the direct potential) and each exchange term
+    holds the factors ``(V, c)`` of a density matrix.
     """
 
     grid: RadialGrid
@@ -146,27 +145,17 @@ class FockMatrix:
     off: np.ndarray
     table: KernelTable | None = None
     exchange: tuple[tuple[int, np.ndarray, np.ndarray], ...] = ()
-    level_shift: float = 0.0
-    occupied: np.ndarray | None = None
-
-    @property
-    def local_diag(self) -> np.ndarray:
-        """Diagonal of the tridiagonal part, level shift included."""
-        return self.diag + self.level_shift
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``B x`` for a vector or a block of columns, real or complex."""
         x = np.asarray(x)
         block = x.reshape(self.grid.n, -1)
         off = self.off[:, None]
-        y = self.local_diag[:, None] * block
+        y = self.diag[:, None] * block
         y[:-1] += off * block[1:]
         y[1:] += off * block[:-1]
         for lp, V, c in self.exchange:
             y = y - _exchange_apply(self.table, self.l, lp, V, c, block)
-        if self.level_shift:
-            O = self.occupied
-            y = y - self.level_shift * (O @ (O.T @ block))
         return y.reshape(x.shape)
 
     @property
@@ -176,13 +165,11 @@ class FockMatrix:
         dtype = np.result_type(*(V for _, V, _ in self.exchange), float)
         mat = np.zeros((n, n), dtype=dtype)
         idx = np.arange(n)
-        mat[idx, idx] = self.local_diag
+        mat[idx, idx] = self.diag
         mat[idx[:-1], idx[:-1] + 1] = self.off
         mat[idx[:-1] + 1, idx[:-1]] = self.off
         for lp, V, c in self.exchange:
             mat -= ((V * c) @ np.conj(V).T) * self.table.exchange(self.l, lp)
-        if self.level_shift:
-            mat -= self.level_shift * (self.occupied @ self.occupied.T)
         return mat
 
     def bilinear(self, p: RadialFunction, q: RadialFunction):
@@ -310,7 +297,7 @@ def _rounding_scale(fock: FockMatrix, X: np.ndarray) -> np.ndarray:
     error of the product with the tridiagonal part ``T``."""
     x = np.abs(X)
     off = np.abs(fock.off)[:, None]
-    scale = np.abs(fock.local_diag)[:, None] * x
+    scale = np.abs(fock.diag)[:, None] * x
     scale[:-1] += off * x[1:]
     scale[1:] += off * x[:-1]
     return np.linalg.norm(scale, axis=0)
@@ -340,11 +327,11 @@ def _lobpcg(
     n = fock.grid.n
     size = min(count + _GUARD, n)
     lam, X = sla.eigh_tridiagonal(
-        fock.local_diag, fock.off, select="i", select_range=(0, size - 1)
+        fock.diag, fock.off, select="i", select_range=(0, size - 1)
     )
     sigma = lam[0] - max(_SHIFT_MARGIN * abs(lam[0]), _SHIFT_FLOOR)
     banded = np.zeros((2, n))
-    banded[0] = fock.local_diag - sigma
+    banded[0] = fock.diag - sigma
     banded[1, :-1] = fock.off
     try:
         chol = sla.cholesky_banded(banded, lower=True, check_finite=False)
@@ -395,9 +382,9 @@ def lowest_eigenpairs(
     Eigenfunctions are returned as grid functions, orthonormal in the
     quadrature inner product; eigenvalues ascend, with degenerate pairs
     ordered by position and their eigenvectors orthonormalized (no
-    simplicity assumption).  A tridiagonal operator (no exchange, no
-    level shift) goes to a tridiagonal solver at any size.  Otherwise
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517, 2001) computes the
+    simplicity assumption).  A tridiagonal operator (no exchange) goes
+    to a tridiagonal solver at any size.  Otherwise LOBPCG (Knyazev,
+    SIAM J. Sci. Comput. 23, 517, 2001) computes the
     pairs, preconditioned by the tridiagonal part shifted just below its
     lowest eigenvalue and solved in O(n).  ``dense_cutoff`` selects how
     it applies ``B``: at or below it as one product with
@@ -427,7 +414,7 @@ def lowest_eigenpairs(
         raise ValueError(f"start holds {len(start)} functions, expected {count}")
     sq = np.sqrt(fock.grid.weights)
     floor = None
-    if not fock.exchange and not fock.level_shift:
+    if not fock.exchange:
         eps, vecs = sla.eigh_tridiagonal(
             fock.diag, fock.off, select="i", select_range=(0, count - 1)
         )

@@ -6,14 +6,14 @@ direct potential and per-channel density matrices for exchange, kept as
 low-rank factors).  Each
 iteration diagonalizes the channel Fock matrices built from the mean
 field, occupies the lowest eigenfunctions, and evaluates the exact
-energy functional at the proposed orbitals:
+energy functional at the proposed orbitals.  One step rule follows:
 
-* if the energy does not increase, the proposal is accepted and the mean
-  field relaxes toward it: ``mf <- (1 - a) mf + a mf(proposal)``;
-* if it increases, the proposal is rejected, the damping ``a`` is
-  halved, the mean field is pulled back toward the accepted state, and —
-  if rejections persist — a level shift pushes virtual states up until
-  the iteration descends again.
+* a proposal whose energy does not increase is accepted; one whose
+  energy increases is rejected and the step ``a`` is halved;
+* either way the mean field relaxes toward the proposal:
+  ``mf <- (1 - a) mf + a mf(proposal)``;
+* ``a`` grows after four accepted proposals in a row, and the iteration
+  stalls once it falls below ``1e-5``.
 
 The energy trace therefore only ever records accepted (non-increasing)
 values.  Convergence requires both a relative energy change below
@@ -25,9 +25,9 @@ eigenfunctions of their self-consistent Fock matrices.
 Constraint handling follows the relaxed feasible set: orbital norms may
 be 0 or 1, never fractional.  Within each ``(spin, l)`` channel the
 ``k`` lowest eigenfunctions are assigned to the ``k`` shells in input
-order; an eigenfunction whose eigenvalue is above ``+tol_zero`` is
+order; an eigenfunction whose eigenvalue is above ``+TOL_ZERO`` is
 replaced by the zero orbital (dropping the shell lowers the energy), and
-one within ``tol_zero`` of zero is kept but flagged marginal, since at
+one within ``TOL_ZERO`` of zero is kept but flagged marginal, since at
 exactly zero the theory does not decide the norm.  Shells never migrate
 between channels.
 """
@@ -35,7 +35,7 @@ between channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,25 +76,25 @@ __all__ = [
 ChannelKey = tuple[str | None, int]
 MeanField = tuple[np.ndarray, dict[ChannelKey, Factors]]
 
+# The band around zero inside which an eigenvalue is marginal; the
+# occupation and the structural report judge by this one band.
+TOL_ZERO = 1e-8
+
 
 @dataclass(frozen=True)
 class ScfOptions:
     """Solver knobs; the defaults suit well-posed atomic configurations.
 
     ``tol_energy`` is relative (scaled by ``1 + |E|``); ``tol_residual``
-    bounds ``|H f - e f|`` per occupied orbital.  ``tol_zero`` is the
-    band around zero inside which an eigenvalue is treated as marginal.
-    ``dense_cutoff`` is the grid size up to which the eigensolver applies
-    each Fock operator as a dense matrix; above it the apply is
-    matrix-free and no n x n array is formed.
+    bounds ``|H f - e f|`` per occupied orbital.  ``dense_cutoff`` is the
+    grid size up to which the eigensolver applies each Fock operator as a
+    dense matrix; above it the apply is matrix-free and no n x n array is
+    formed.
     """
 
     tol_energy: float = 1e-9
     tol_residual: float = 1e-6
-    damping: float = 0.3
     max_iter: int = 500
-    tol_zero: float = 1e-8
-    level_shift: float = 0.0
     dense_cutoff: int = DENSE_CUTOFF
 
 
@@ -148,15 +148,14 @@ def _zero_function(grid: RadialGrid) -> RadialFunction:
 def occupy(
     config: Configuration,
     channel_pairs: Mapping[ChannelKey, tuple[np.ndarray, Sequence[RadialFunction]]],
-    tol_zero: float = 1e-8,
 ) -> Occupation:
     """Assign channel eigenfunctions to shells under the relaxed constraints.
 
     ``channel_pairs`` maps ``(spin, l)`` to ascending eigenvalues and
     matching eigenfunctions.  The ``k`` shells of a channel take the
     ``k`` lowest pairs in order; a pair with eigenvalue above
-    ``+tol_zero`` yields the zero orbital instead (norm 0), and one
-    within ``tol_zero`` of zero is occupied but flagged marginal.
+    ``+TOL_ZERO`` yields the zero orbital instead (norm 0), and one
+    within ``TOL_ZERO`` of zero is occupied but flagged marginal.
     """
     n_shells = config.n_shells
     orbitals: list[RadialFunction | None] = [None] * n_shells
@@ -174,13 +173,13 @@ def occupy(
         for rank, i in enumerate(shell_idx):
             e = float(eps[rank])
             eigenvalues[i] = e
-            if e > tol_zero:
+            if e > TOL_ZERO:
                 orbitals[i] = _zero_function(funcs[rank].grid)
                 norms[i] = 0.0
             else:
                 orbitals[i] = funcs[rank]
                 norms[i] = funcs[rank].norm()
-                if abs(e) <= tol_zero:
+                if abs(e) <= TOL_ZERO:
                     marginal[i] = True
     return Occupation(
         orbitals=tuple(orbitals),  # type: ignore[arg-type]
@@ -203,14 +202,15 @@ def occupy(
 # the ion at Z = 11 took 17 iterations and 1 rejection instead of 14 and 0.
 _INEXACT_REDUCTION = 1e-2
 
+# The first step ``a`` of the mean field toward a proposal.
+_STEP_START = 0.3
+
 
 def _diagonalize_all(
     table: KernelTable,
     config: Configuration,
     rho: np.ndarray,
     gammas: Mapping[ChannelKey, Factors],
-    occupied_u: Mapping[ChannelKey, np.ndarray] | None,
-    level_shift: float,
     options: ScfOptions,
     start: Mapping[ChannelKey, tuple[np.ndarray, Sequence[RadialFunction]]],
     reduction: float | None,
@@ -225,13 +225,8 @@ def _diagonalize_all(
     tol = 0.5 * options.tol_residual
     out = {}
     for key, shell_idx in config.channels().items():
-        fock = fock_matrix(table, config, key, rho, gammas)
-        if level_shift > 0.0 and occupied_u is not None:
-            u = occupied_u.get(key)
-            if u is not None and u.size:
-                fock = replace(fock, level_shift=level_shift, occupied=u)
         out[key] = lowest_eigenpairs(
-            fock,
+            fock_matrix(table, config, key, rho, gammas),
             len(shell_idx),
             options.dense_cutoff,
             start=start[key][1],
@@ -268,24 +263,6 @@ def _mix(field: MeanField, target: MeanField, alpha: float) -> MeanField:
             np.hstack([V, V_t]), np.concatenate([(1.0 - alpha) * c, alpha * c_t])
         )
     return (1.0 - alpha) * rho + alpha * rho_t, mixed
-
-
-def _occupied_vectors(
-    config: Configuration,
-    orbitals: Sequence[RadialFunction],
-    grid: RadialGrid,
-) -> dict[ChannelKey, np.ndarray]:
-    """Occupied eigenvectors per channel in the symmetrized coordinates."""
-    sq = np.sqrt(grid.weights)
-    out: dict[ChannelKey, np.ndarray] = {}
-    for key, shell_idx in config.channels().items():
-        cols = [
-            sq * np.real(orbitals[i].values)
-            for i in shell_idx
-            if orbitals[i].norm() > 0.5
-        ]
-        out[key] = np.column_stack(cols) if cols else np.empty((grid.n, 0))
-    return out
 
 
 def _residuals(
@@ -347,7 +324,7 @@ def solve(
             )
             for key, shell_idx in channels.items()
         }
-        occ = occupy(config, pairs, options.tol_zero)
+        occ = occupy(config, pairs)
         orbitals = occ.orbitals
         eigenvalues = occ.eigenvalues
         marginal = occ.marginal
@@ -356,37 +333,25 @@ def solve(
         trace.append(energy)
 
         field = mean_field(config, orbitals)
-        alpha = options.damping
-        beta = options.level_shift
-        clean_streak = 0
+        alpha = _STEP_START
+        streak = 0
 
         for iterations in range(1, options.max_iter + 1):
-            occupied_u = _occupied_vectors(config, orbitals, grid) if beta > 0 else None
             # The previous eigenfunctions warm-start the iterative solver.
-            pairs = _diagonalize_all(
-                table, config, *field, occupied_u, beta, options, pairs, _INEXACT_REDUCTION
-            )
-            occ_new = occupy(config, pairs, options.tol_zero)
-            bd_new = total_energy(config, occ_new.orbitals, table)
+            pairs = _diagonalize_all(table, config, *field, options, pairs, _INEXACT_REDUCTION)
+            proposal = occupy(config, pairs)
+            bd_new = total_energy(config, proposal.orbitals, table)
             e_new = bd_new.total
-            tol_up = 1e-10 * (1.0 + abs(energy))
             delta = energy - e_new
 
-            if e_new <= energy + tol_up:
-                orbitals = occ_new.orbitals
-                eigenvalues = occ_new.eigenvalues
-                marginal = occ_new.marginal
+            if e_new <= energy + 1e-10 * (1.0 + abs(energy)):
+                orbitals = proposal.orbitals
+                eigenvalues = proposal.eigenvalues
+                marginal = proposal.marginal
                 breakdown = bd_new
                 energy = e_new
                 trace.append(energy)
-                field = _mix(field, mean_field(config, orbitals), alpha)
-                clean_streak += 1
-                if beta > 0 and clean_streak >= 3:
-                    beta *= 0.5
-                    if beta < 1e-3:
-                        beta = 0.0
-                if clean_streak >= 4:
-                    alpha = min(0.9, 1.5 * alpha)
+                streak += 1
                 if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
                     res = _residuals(table, config, orbitals, eigenvalues)
                     if float(res.max(initial=0.0)) <= options.tol_residual:
@@ -394,25 +359,18 @@ def solve(
                         break
             else:
                 rejections += 1
-                clean_streak = 0
+                streak = 0
                 alpha *= 0.5
-                if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
-                    res = _residuals(table, config, orbitals, eigenvalues)
-                    if float(res.max(initial=0.0)) <= options.tol_residual:
-                        converged = True
-                        message = "converged at an energy plateau"
-                        break
                 if alpha < 1e-5:
                     message = "stalled: damping floor reached without energy decrease"
                     break
-                # Mix a small (and shrinking) amount of the rejected proposal
-                # into the mean field: re-proposing from an unchanged field
-                # would just reproduce the rejection, whereas bisecting the
-                # segment between the accepted field and the proposal finds a
-                # step size whose energy does descend.
-                field = _mix(field, mean_field(config, occ_new.orbitals), alpha)
-                if rejections % 3 == 0:
-                    beta = max(1.0, 2.0 * beta)
+            # A rejected proposal is mixed in too, by the halved step:
+            # re-proposing from an unchanged field would just reproduce the
+            # rejection, whereas bisecting the segment between the accepted
+            # field and the proposal finds a step whose energy does descend.
+            field = _mix(field, mean_field(config, proposal.orbitals), alpha)
+            if streak >= 4:
+                alpha = min(0.9, 1.5 * alpha)
         else:
             message = f"did not converge in {options.max_iter} iterations"
 
@@ -420,17 +378,16 @@ def solve(
             # Undamped polish: make the occupied orbitals eigenfunctions of
             # the Fock matrices built from the converged state itself.
             pairs = _diagonalize_all(
-                table, config, *mean_field(config, orbitals), None, 0.0, options, pairs, None
+                table, config, *mean_field(config, orbitals), options, pairs, None
             )
-            occ_fin = occupy(config, pairs, options.tol_zero)
+            occ_fin = occupy(config, pairs)
             orbitals = occ_fin.orbitals
             eigenvalues = occ_fin.eigenvalues
             marginal = occ_fin.marginal
             breakdown = total_energy(config, orbitals, table)
             energy = breakdown.total
             trace.append(energy)
-            if not message:
-                message = "converged"
+            message = "converged"
     except EigensolverError as exc:
         # Report the last accepted state; before the hydrogenic start is
         # occupied that is the empty one.
@@ -626,7 +583,7 @@ class TheoremReport:
 _NORM_TOL = 1e-6
 
 
-def theorem_report(state: ScfState, tol_zero: float = 1e-8) -> TheoremReport:
+def theorem_report(state: ScfState) -> TheoremReport:
     """Check the structural guarantees on a state (reports, never raises)."""
     config = state.config
     N = config.electron_count
@@ -661,10 +618,10 @@ def theorem_report(state: ScfState, tol_zero: float = 1e-8) -> TheoremReport:
             )
         )
         # (i): occupied => eps <= 0 (within tol); eps < 0 => full norm.
-        if occupied and eps > tol_zero:
+        if occupied and eps > TOL_ZERO:
             clause_i = False
             notes.append(f"shell {i}: occupied with positive eigenvalue {eps:.3e}")
-        if eps < -tol_zero and occupied and abs(nrm - 1.0) > _NORM_TOL:
+        if eps < -TOL_ZERO and occupied and abs(nrm - 1.0) > _NORM_TOL:
             clause_i = False
             notes.append(f"shell {i}: negative eigenvalue but norm {nrm:.8f}")
         if hypothesis:

@@ -931,7 +931,7 @@ def _occupation_rules():
     err = 0.0
     for cfg, levels, norms, marginal in cases:
         pairs = {(None, 0): (np.array(levels), funcs[: len(levels)])}
-        occ = occupy(cfg, pairs, tol_zero=1e-8)
+        occ = occupy(cfg, pairs)
         dropped = [i for i, v in enumerate(norms) if v == 0.0]
         if occ.marginal != marginal or any(
             occ.norms[i] != 0.0 or np.any(occ.orbitals[i].values != 0.0) for i in dropped

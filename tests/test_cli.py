@@ -30,6 +30,14 @@ NEON = {
 }
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH,
+    so that subprocesses import the package under test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -52,11 +60,11 @@ def test_load_config_round_trip(tmp_path):
 def test_load_config_reads_scf_and_output_sections(tmp_path):
     doc = dict(
         HELIUM,
-        scf={"max_iter": 50, "damping": 0.5},
+        scf={"max_iter": 50, "tol_residual": 1e-7},
         output={"result": "res.json", "orbitals_csv": "orb.csv"},
     )
     _, _, options, output = load_config(write_config(tmp_path, doc))
-    assert options.max_iter == 50 and options.damping == 0.5
+    assert options.max_iter == 50 and options.tol_residual == 1e-7
     assert output == {"result": "res.json", "orbitals_csv": "orb.csv"}
 
 
@@ -77,7 +85,7 @@ def test_load_config_reads_scf_and_output_sections(tmp_path):
             ),
             "gamma",
         ),
-        (lambda d: d.update(scf={"damping": 2.0}), "scf.damping"),
+        (lambda d: d.update(scf={"tol_residual": 0}), "scf.tol_residual"),
         (lambda d: d.update(scf={"cycles": 3}), "scf"),
         (lambda d: d.update(output={"result": 7}), "output.result"),
         (lambda d: d.update(extra=1), "extra"),
@@ -193,6 +201,42 @@ def test_solve_exit_2_on_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "update",
+    [
+        {"grid": {"n": 2}},
+        {"shells": [{"l": 0}, {"l": 0}], "grid": {"n": 3}},
+    ],
+    ids=["one-shell-n2", "two-shells-n3"],
+)
+def test_solve_exit_2_on_grid_too_small_for_a_channel(tmp_path, capsys, update):
+    # the eigensolver needs two points beyond a channel's shells
+    path = write_config(tmp_path, dict(HELIUM, **update))
+    with pytest.raises(ConfigError, match="grid.n"):
+        load_config(path)
+    assert main(["solve", str(path)]) == 2
+    assert "grid.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"kind": "uniform", "n": 700, "r_max": 1e-300},
+        {"kind": "exponential", "n": 700, "r_max": 12.0, "gamma": 700},
+        {"kind": "exponential", "n": 700, "r_max": 12.0, "gamma": 800},
+        {"kind": "exponential", "n": 700, "r_max": 1e-300},
+    ],
+    ids=["uniform-tiny-box", "exponential-gamma700", "exponential-gamma800", "exponential-tiny-box"],
+)
+def test_solve_exit_2_on_overflowing_grid(tmp_path, capsys, grid):
+    # points, weights or the kinetic stencil 1/(h w) leave double range
+    path = write_config(tmp_path, dict(HELIUM, grid=grid))
+    with pytest.raises(ConfigError, match="^grid: .*non-finite"):
+        load_config(path)
+    assert main(["solve", str(path)]) == 2
+    assert "config error: grid:" in capsys.readouterr().err
+
+
 def test_solve_converges_on_uniform_grid_n40000(tmp_path, capsys):
     # above the dense cutoff nothing builds an n x n array (one would take
     # 12.8 GB here), so a fine grid solves in O(n) memory
@@ -245,7 +289,7 @@ def test_cli_byte_determinism(tmp_path):
     cmd = [sys.executable, "-m", "radialhf.cli", "solve", str(path)]
     blobs = []
     for run in range(2):
-        subprocess.run(cmd, check=True, capture_output=True)
+        subprocess.run(cmd, check=True, capture_output=True, env=src_env())
         blobs.append(
             (
                 (tmp_path / "config.result.json").read_bytes(),
@@ -335,9 +379,7 @@ def test_validate_exits_3_when_a_check_fails(monkeypatch, capsys):
 
 
 def test_package_runs_as_module():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "radialhf", "validate", "--help"]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(cmd, env=src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: radialhf validate")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,14 +137,12 @@ def test_iterative_solver_matches_dense():
         _assert_pairs_match(pairs, reference)
 
 
-def _level_shifted_helium():
+def _exponential_helium():
     g = make_grid("exponential", 500, 25.0)
     table = build_kernel_table(g, build_coefficient_table(0))
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 3)
-    fock = fock_matrix(table, config, (None, 0), *mean_field(config, hydro[:1]))
-    u = (np.sqrt(g.weights) * hydro[0].values)[:, None]
-    return replace(fock, level_shift=1.0, occupied=u), 3, hydro
+    return fock_matrix(table, config, (None, 0), *mean_field(config, hydro[:1])), 3, hydro
 
 
 def _anion_with_unbound_top_level():
@@ -160,8 +157,8 @@ def _anion_with_unbound_top_level():
 
 @pytest.mark.parametrize(
     "case, top_unbound",
-    [(_level_shifted_helium, False), (_anion_with_unbound_top_level, True)],
-    ids=["level-shift", "unbound-top-level"],
+    [(_exponential_helium, False), (_anion_with_unbound_top_level, True)],
+    ids=["exponential-helium", "unbound-top-level"],
 )
 def test_dense_apply_matches_eigh(case, top_unbound):
     # at or below the cutoff LOBPCG runs on the dense matrix; cold and
@@ -220,7 +217,7 @@ def test_residual_bound_follows_each_vector(monkeypatch):
     # near the origin, far above the rounding scale ||T| |x|| of the orbital
     # (8e4): an eigenvalue off by 1e-4 met a bound of 1e-10 |B|_inf, but
     # not one of 1e-10 ||T| |x||
-    fock, count, _ = _level_shifted_helium()
+    fock, count, _ = _exponential_helium()
     real = operators._lobpcg
 
     def off_by_1e4(*args):
@@ -237,7 +234,7 @@ def test_inexact_solve_checks_its_loosened_target(monkeypatch):
     # an inexact solve may stop once each residual is 1e-2 of its start
     # vector's, and its check allows that much; a pair left at the start,
     # which misses that target, still raises
-    fock, count, start = _level_shifted_helium()
+    fock, count, start = _exponential_helium()
     for cutoff in (100, 1000):  # matrix-free and dense apply
         assert lowest_eigenpairs(fock, count, cutoff, start=start, reduction=1e-2)
 
@@ -260,12 +257,8 @@ def neon_like_focks(table400):
     # a complex 2s gives the s channel complex density-matrix factors
     orbitals[1] = RadialFunction(g, orbitals[1].values * np.exp(0.3j * g.points))
     rho, gammas = mean_field(config, orbitals)
-    occupied, _ = np.linalg.qr(rng.standard_normal((g.n, 2)))
-    focks = []
-    for key in ((None, 0), (None, 1), (None, 2)):
-        fock = fock_matrix(table400, config, key, rho, gammas)
-        focks += [fock, replace(fock, level_shift=0.7, occupied=occupied)]
-    return focks
+    keys = ((None, 0), (None, 1), (None, 2))
+    return [fock_matrix(table400, config, key, rho, gammas) for key in keys]
 
 
 def test_fock_apply_matches_matrix(neon_like_focks, monkeypatch):

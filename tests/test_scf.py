@@ -182,7 +182,7 @@ def test_occupy_flags_marginal_levels(he_grid):
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     eps, funcs = lowest_eigenpairs(hydrogenic_matrix(he_grid, 0, 2.0), 1)
     pairs = {(None, 0): (np.array([5e-9]), funcs)}
-    occ = occupy(config, pairs, tol_zero=1e-8)
+    occ = occupy(config, pairs)
     assert occ.marginal == (True,)
     assert occ.norms[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -219,6 +219,25 @@ def test_non_convergence_is_reported_not_raised():
     assert state.message != ""
     assert len(state.energy_trace) >= 1
     assert np.isfinite(state.energy)
+
+
+def test_rejected_proposals_keep_the_trace_descending():
+    # N = 10 at Z = 8: proposals that raise the energy are rejected and
+    # the step halved until the solve converges or stalls at the step
+    # floor; either way only accepted energies enter the trace, each at
+    # most the acceptance slack of 1e-10 (1 + |E|) above the one before
+    config = Configuration(
+        Z=8.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0), ShellSpec(1))
+    )
+    state = solve(config, make_grid("exponential", 600, 30.0))
+    if state.converged:
+        assert theorem_report(state).all_satisfied
+    else:
+        assert state.message == "stalled: damping floor reached without energy decrease"
+        assert state.rejections >= 1
+    trace = np.array(state.energy_trace)
+    assert np.all(np.diff(trace) <= 1e-10 * (1.0 + np.abs(trace[:-1])))
+    assert state.energy == trace[-1]
 
 
 def test_factored_mix_equals_dense_mix(table400):
