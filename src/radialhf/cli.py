@@ -369,7 +369,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    table = build_kernel_table(grid, build_coefficient_table(config.max_l))
+    try:
+        table = build_kernel_table(grid, build_coefficient_table(config.max_l))
+    except ValueError as exc:  # the kernels' multipole powers leave double range
+        print(f"config error: grid: {exc}", file=sys.stderr)
+        return 2
     state = solve(config, grid, table, options)
     scale, unit_name = _unit_scale(args.units)
 

@@ -144,8 +144,9 @@ def make_grid(kind: str, n: int, r_max: float, gamma: float = 6.0) -> RadialGrid
     ------
     ValueError
         On an unknown kind or non-positive sizes, or when the points, the
-        weights or the kinetic stencil ``1/(h w)`` overflow or underflow
-        to a non-finite value (such as ``r_max = 1e-300``).
+        weights, the kinetic stencil ``1/(h w)`` or its stiffness
+        ``(n^2 max stencil)^2`` overflow or underflow to a non-finite
+        value (such as ``r_max = 1e-300``, or ``1e-100`` at ``n = 50``).
     """
     if kind not in _GRID_KINDS:
         raise ValueError(f"unknown grid kind {kind!r}; expected one of {_GRID_KINDS}")
@@ -167,11 +168,18 @@ def make_grid(kind: str, n: int, r_max: float, gamma: float = 6.0) -> RadialGrid
         spacings = np.diff(extended)
         weights = 0.5 * (extended[2:] - extended[:-2])
         stencil = (1.0 / spacings[:-1] + 1.0 / spacings[1:]) / weights
-    if not all(np.all(np.isfinite(v)) for v in (points, weights, stencil)):
+        # LAPACK's tridiagonal eigensolver squares the stencil, and its
+        # inverse iteration grows vectors of that size by a further power
+        # of n: on uniform and exponential grids with n = 50 to 2600 its
+        # eigenvectors turned NaN where (n^2 stencil)^2 reached 1e311 to
+        # 1e315, so refusing grids on which that square overflows leaves
+        # a margin.
+        stiffness = (n * n * np.max(stencil)) ** 2
+    if not all(np.all(np.isfinite(v)) for v in (points, weights, stiffness)):
         raise ValueError(
             f"{kind} grid with n = {n}, r_max = {r_max}"
             + (f", gamma = {gamma}" if kind == "exponential" else "")
-            + " has non-finite points, weights or kinetic stencil"
+            + " has non-finite points, weights, kinetic stencil or (n^2 stencil)^2"
         )
     return RadialGrid(
         kind=kind,

@@ -190,6 +190,9 @@ def oracle_u_kernel(
 # stay near 1 MiB whatever the grid size.
 _BLOCK_ELEMENTS = 1 << 17
 
+# Memory budget for all dense matrices of one kernel table.
+MAX_TABLE_BYTES = 4 << 30
+
 
 def _direct_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Rows of ``1/max(r, s)`` at radii ``rows``."""
@@ -220,13 +223,12 @@ class KernelTable:
     the angular ``coeffs`` (which :func:`apply_exchange_kernel` reads);
     each dense matrix is built on its first access, a block of rows at a
     time, and cached, once per unordered pair ``(l, lp)``.  The first
-    access checks that the whole table fits in ``max_bytes``.
+    access checks that the whole table fits in ``MAX_TABLE_BYTES``.
     """
 
     grid: RadialGrid
     max_l: int
     coeffs: CoefficientTable = field(repr=False)
-    max_bytes: int = field(default=4 << 30, repr=False)
     _dense: dict[object, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -254,11 +256,11 @@ class KernelTable:
         n = self.grid.n
         n_pairs = (self.max_l + 1) * (self.max_l + 2) // 2
         required = (n_pairs + 1) * n * n * 8
-        if required > self.max_bytes:
+        if required > MAX_TABLE_BYTES:
             raise MemoryError(
                 f"kernel table for n = {n}, max_l = {self.max_l} requires "
                 f"{required} bytes ({required / 2**30:.2f} GiB), over the "
-                f"budget of {self.max_bytes} bytes"
+                f"budget of {MAX_TABLE_BYTES} bytes"
             )
         r = self.grid.points
         mat = np.empty((n, n))
@@ -275,10 +277,7 @@ class KernelTable:
 
 
 def build_kernel_table(
-    grid: RadialGrid,
-    coeffs: CoefficientTable,
-    max_l: int | None = None,
-    max_bytes: int = 4 << 30,
+    grid: RadialGrid, coeffs: CoefficientTable, max_l: int | None = None
 ) -> KernelTable:
     """Kernel table for a grid; its dense matrices are built on access.
 
@@ -289,15 +288,13 @@ def build_kernel_table(
         Angular coefficients; must cover ``max_l``.
     max_l : int, optional
         Largest angular momentum needed (default: ``coeffs.max_l``).
-    max_bytes : int, optional
-        Memory budget for the dense matrices.  The first dense access
-        raises :class:`MemoryError`, stating the required size, if the
-        whole table would exceed it.
 
     Raises
     ------
     ValueError
-        If ``max_l`` exceeds the coefficient table's range.
+        If ``max_l`` exceeds the coefficient table's range, or if a
+        multipole power ``r**(k+1)``, ``k <= 2 max_l``, overflows or
+        underflows to zero at either end of the grid.
     """
     if max_l is None:
         max_l = coeffs.max_l
@@ -305,7 +302,16 @@ def build_kernel_table(
         raise ValueError(
             f"coefficient table covers l <= {coeffs.max_l}, requested {max_l}"
         )
-    return KernelTable(grid=grid, max_l=max_l, coeffs=coeffs, max_bytes=max_bytes)
+    # The highest power is the first to overflow (r > 1) or underflow (r < 1).
+    with np.errstate(over="ignore", under="ignore"):
+        powers = grid.points[[0, -1]] ** (2 * max_l + 1)
+    if not np.all(np.isfinite(powers) & (powers > 0)):
+        raise ValueError(
+            f"grid with r_max = {grid.r_max} is out of range for the kernels "
+            f"with max_l = {max_l}: r**(k+1) overflows or underflows for a "
+            f"k <= {2 * max_l}"
+        )
+    return KernelTable(grid=grid, max_l=max_l, coeffs=coeffs)
 
 
 def _apply_multipole(r: np.ndarray, k: int, y: np.ndarray) -> np.ndarray:

@@ -402,10 +402,10 @@ def lowest_eigenpairs(
     Raises
     ------
     EigensolverError
-        If a residual ``|B u - e u|`` exceeds both ``1e-10`` times the
-        rounding scale ``||T| |u||`` of its own vector and, in an inexact
-        solve, the pair's floor; or if the shifted tridiagonal part is not
-        positive definite.
+        If a residual ``|B u - e u|`` is NaN or exceeds both ``1e-10``
+        times the rounding scale ``||T| |u||`` of its own vector and, in an
+        inexact solve, the pair's floor; or if the shifted tridiagonal part
+        is not positive definite.
     """
     n = fock.grid.n
     if not 1 <= count <= n - 2:
@@ -433,8 +433,8 @@ def lowest_eigenpairs(
     bound = _RESIDUAL_FACTOR * _rounding_scale(fock, vecs)
     if floor is not None:
         bound = np.maximum(bound, floor)
-    worst = int(np.argmax(resid / bound))
-    if resid[worst] > bound[worst]:
+    worst = int(np.argmax(resid / bound))  # a NaN residual is the worst
+    if not resid[worst] <= bound[worst]:
         raise EigensolverError(
             f"eigenpair residual {resid[worst]:.3e} exceeds {bound[worst]:.3e} "
             f"(n = {n}, count = {count}, pair {worst})"

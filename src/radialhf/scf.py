@@ -6,7 +6,9 @@ direct potential and per-channel density matrices for exchange, kept as
 low-rank factors).  Each
 iteration diagonalizes the channel Fock matrices built from the mean
 field, occupies the lowest eigenfunctions, and evaluates the exact
-energy functional at the proposed orbitals.  One step rule follows:
+energy functional and the mean field of the proposed orbitals.  The
+start is the same evaluation in the empty field, whose Fock operator is
+the bare hydrogenic one.  One step rule follows:
 
 * a proposal whose energy does not increase is accepted; one whose
   energy increases is rejected and the step ``a`` is halved;
@@ -50,7 +52,6 @@ from .operators import (
     EigensolverError,
     Factors,
     fock_matrix,
-    hydrogenic_matrix,
     lowest_eigenpairs,
     mean_field,
 )
@@ -79,6 +80,9 @@ MeanField = tuple[np.ndarray, dict[ChannelKey, Factors]]
 # The band around zero inside which an eigenvalue is marginal; the
 # occupation and the structural report judge by this one band.
 TOL_ZERO = 1e-8
+
+# Points of the default grid.
+_DEFAULT_N = 2000
 
 
 @dataclass(frozen=True)
@@ -131,14 +135,14 @@ class ScfState:
         return self.breakdown.total
 
 
-def make_default_grid(config: Configuration, n: int = 2000) -> RadialGrid:
-    """Default uniform grid for a configuration.
+def make_default_grid(config: Configuration) -> RadialGrid:
+    """Default uniform grid of ``_DEFAULT_N`` points for a configuration.
 
     The box extent shrinks with the nuclear charge (tighter atoms) but
     never below 12 so diffuse valence shells keep room to decay.
     """
     r_max = max(12.0, 30.0 / max(config.Z, 1.0))
-    return make_grid("uniform", n, r_max)
+    return make_grid("uniform", _DEFAULT_N, r_max)
 
 
 def _zero_function(grid: RadialGrid) -> RadialFunction:
@@ -175,7 +179,6 @@ def occupy(
             eigenvalues[i] = e
             if e > TOL_ZERO:
                 orbitals[i] = _zero_function(funcs[rank].grid)
-                norms[i] = 0.0
             else:
                 orbitals[i] = funcs[rank]
                 norms[i] = funcs[rank].norm()
@@ -206,34 +209,51 @@ _INEXACT_REDUCTION = 1e-2
 _STEP_START = 0.3
 
 
-def _diagonalize_all(
+@dataclass(frozen=True)
+class _Point:
+    """Channel eigenpairs, their occupation, its energy and its own mean field."""
+
+    pairs: Mapping[ChannelKey, tuple[np.ndarray, list[RadialFunction]]]
+    occupation: Occupation
+    breakdown: EnergyBreakdown
+    field: MeanField
+
+    @property
+    def energy(self) -> float:
+        return self.breakdown.total
+
+
+def _evaluate(
     table: KernelTable,
     config: Configuration,
-    rho: np.ndarray,
-    gammas: Mapping[ChannelKey, Factors],
+    field: MeanField,
     options: ScfOptions,
-    start: Mapping[ChannelKey, tuple[np.ndarray, Sequence[RadialFunction]]],
+    start: _Point | None,
     reduction: float | None,
-) -> dict[ChannelKey, tuple[np.ndarray, list[RadialFunction]]]:
-    # The iterative eigensolver targets half the residual tolerance, so
-    # that on fine grids, where its rounding-scale target grows as 1/h^2,
-    # it does not keep the convergence check from passing.  Inside the
-    # loop a ``reduction`` makes each eigensolve inexact: a pair may stop
-    # once its residual has fallen by that factor from the warm start's,
-    # since only the fixed point needs exact eigenpairs; the final polish
-    # passes None and is strict.
+) -> _Point:
+    """Diagonalize each channel's Fock operator in ``field``, occupy and price."""
+    # The iterative eigensolver, warm-started from ``start``'s pairs,
+    # targets half the residual tolerance, so that on fine grids, where its
+    # rounding-scale target grows as 1/h^2, it does not keep the
+    # convergence check from passing.  Inside the loop a ``reduction`` makes
+    # each eigensolve inexact: a pair may stop once its residual has fallen
+    # by that factor from the warm start's, since only the fixed point
+    # needs exact eigenpairs; the start and the polish pass None.
     tol = 0.5 * options.tol_residual
-    out = {}
-    for key, shell_idx in config.channels().items():
-        out[key] = lowest_eigenpairs(
-            fock_matrix(table, config, key, rho, gammas),
+    pairs = {
+        key: lowest_eigenpairs(
+            fock_matrix(table, config, key, *field),
             len(shell_idx),
             options.dense_cutoff,
-            start=start[key][1],
+            start=None if start is None else start.pairs[key][1],
             tol=tol,
             reduction=reduction,
         )
-    return out
+        for key, shell_idx in config.channels().items()
+    }
+    occ = occupy(config, pairs)
+    energy = total_energy(config, occ.orbitals, table)
+    return _Point(pairs, occ, energy, mean_field(config, occ.orbitals))
 
 
 # Mixed density-matrix factors keep the directions whose weight exceeds
@@ -265,14 +285,9 @@ def _mix(field: MeanField, target: MeanField, alpha: float) -> MeanField:
     return (1.0 - alpha) * rho + alpha * rho_t, mixed
 
 
-def _residuals(
-    table: KernelTable,
-    config: Configuration,
-    orbitals: Sequence[RadialFunction],
-    eigenvalues: np.ndarray,
-) -> np.ndarray:
-    """Per-shell ``|H f - e f|`` against the orbitals' own mean field."""
-    rho, gammas = mean_field(config, orbitals)
+def _residuals(table: KernelTable, config: Configuration, point: _Point) -> np.ndarray:
+    """Per-shell ``|H f - e f|`` against the point's own mean field."""
+    orbitals, eigenvalues = point.occupation.orbitals, point.occupation.eigenvalues
     sq = np.sqrt(table.grid.weights)
     res = np.zeros(config.n_shells)
     for key, shell_idx in config.channels().items():
@@ -280,7 +295,7 @@ def _residuals(
         if not occupied:
             continue
         u = np.column_stack([sq * np.real(orbitals[i].values) for i in occupied])
-        fock = fock_matrix(table, config, key, rho, gammas)
+        fock = fock_matrix(table, config, key, *point.field)
         res[occupied] = np.linalg.norm(fock.apply(u) - u * eigenvalues[occupied], axis=0)
     return res
 
@@ -306,55 +321,32 @@ def solve(
         table = build_kernel_table(grid, build_coefficient_table(config.max_l))
     if not table.grid.matches(grid):
         raise ValueError("kernel table was built for a different grid")
-    channels = config.channels()
 
-    rejections = 0
+    rejections = iterations = 0
     converged = False
     message = ""
-    iterations = 0
     trace: list[float] = []
-    orbitals = None
+    empty_field = (np.zeros(grid.n), {})
+    point = None
     try:
-        # Hydrogenic start: exact in the one-electron limit, deterministic.
-        pairs = {
-            key: lowest_eigenpairs(
-                hydrogenic_matrix(grid, key[1], config.Z),
-                len(shell_idx),
-                options.dense_cutoff,
-            )
-            for key, shell_idx in channels.items()
-        }
-        occ = occupy(config, pairs)
-        orbitals = occ.orbitals
-        eigenvalues = occ.eigenvalues
-        marginal = occ.marginal
-        breakdown = total_energy(config, orbitals, table)
-        energy = breakdown.total
-        trace.append(energy)
-
-        field = mean_field(config, orbitals)
+        # Start in the empty field, whose Fock operator is the bare
+        # hydrogenic one: exact in the one-electron limit, deterministic.
+        point = proposal = _evaluate(table, config, empty_field, options, None, None)
+        trace.append(point.energy)
+        field = point.field
         alpha = _STEP_START
         streak = 0
 
         for iterations in range(1, options.max_iter + 1):
-            # The previous eigenfunctions warm-start the iterative solver.
-            pairs = _diagonalize_all(table, config, *field, options, pairs, _INEXACT_REDUCTION)
-            proposal = occupy(config, pairs)
-            bd_new = total_energy(config, proposal.orbitals, table)
-            e_new = bd_new.total
-            delta = energy - e_new
-
-            if e_new <= energy + 1e-10 * (1.0 + abs(energy)):
-                orbitals = proposal.orbitals
-                eigenvalues = proposal.eigenvalues
-                marginal = proposal.marginal
-                breakdown = bd_new
-                energy = e_new
-                trace.append(energy)
+            # The previous proposal's eigenfunctions warm-start the solver.
+            proposal = _evaluate(table, config, field, options, proposal, _INEXACT_REDUCTION)
+            energy = point.energy
+            if proposal.energy <= energy + 1e-10 * (1.0 + abs(energy)):
+                point = proposal
+                trace.append(point.energy)
                 streak += 1
-                if abs(delta) <= options.tol_energy * (1.0 + abs(energy)):
-                    res = _residuals(table, config, orbitals, eigenvalues)
-                    if float(res.max(initial=0.0)) <= options.tol_residual:
+                if abs(energy - point.energy) <= options.tol_energy * (1.0 + abs(point.energy)):
+                    if _residuals(table, config, point).max(initial=0.0) <= options.tol_residual:
                         converged = True
                         break
             else:
@@ -368,7 +360,7 @@ def solve(
             # re-proposing from an unchanged field would just reproduce the
             # rejection, whereas bisecting the segment between the accepted
             # field and the proposal finds a step whose energy does descend.
-            field = _mix(field, mean_field(config, proposal.orbitals), alpha)
+            field = _mix(field, proposal.field, alpha)
             if streak >= 4:
                 alpha = min(0.9, 1.5 * alpha)
         else:
@@ -377,40 +369,31 @@ def solve(
         if converged:
             # Undamped polish: make the occupied orbitals eigenfunctions of
             # the Fock matrices built from the converged state itself.
-            pairs = _diagonalize_all(
-                table, config, *mean_field(config, orbitals), options, pairs, None
-            )
-            occ_fin = occupy(config, pairs)
-            orbitals = occ_fin.orbitals
-            eigenvalues = occ_fin.eigenvalues
-            marginal = occ_fin.marginal
-            breakdown = total_energy(config, orbitals, table)
-            energy = breakdown.total
-            trace.append(energy)
+            point = _evaluate(table, config, point.field, options, point, None)
+            trace.append(point.energy)
             message = "converged"
     except EigensolverError as exc:
-        # Report the last accepted state; before the hydrogenic start is
-        # occupied that is the empty one.
+        # Report the last accepted point; before the start is evaluated
+        # that is the empty state.
         converged = False
         message = f"eigensolver failed: {exc}"
-        if orbitals is None:
-            orbitals = tuple(_zero_function(grid) for _ in config.shells)
-            eigenvalues = np.zeros(config.n_shells)
-            marginal = (False,) * config.n_shells
-            breakdown = total_energy(config, orbitals, table)
-            trace.append(breakdown.total)
+        if point is None:
+            empty = tuple(_zero_function(grid) for _ in config.shells)
+            n = config.n_shells
+            occ = Occupation(empty, np.zeros(n), np.zeros(n), (False,) * n)
+            point = _Point({}, occ, total_energy(config, empty, table), empty_field)
+            trace.append(point.energy)
 
-    residuals = _residuals(table, config, orbitals, eigenvalues)
-    norms = np.array([f.norm() for f in orbitals])
+    occ = point.occupation
     return ScfState(
         config=config,
         grid=grid,
-        orbitals=tuple(orbitals),
-        eigenvalues=eigenvalues,
-        norms=norms,
-        residuals=residuals,
-        marginal=marginal,
-        breakdown=breakdown,
+        orbitals=occ.orbitals,
+        eigenvalues=occ.eigenvalues,
+        norms=occ.norms,
+        residuals=_residuals(table, config, point),
+        marginal=occ.marginal,
+        breakdown=point.breakdown,
         energy_trace=tuple(trace),
         iterations=iterations,
         converged=converged,
@@ -504,9 +487,7 @@ def probe_shell(
     if not 0 <= i < config.n_shells:
         raise ValueError(f"shell index {i} out of range")
     if table is None:
-        table = build_kernel_table(
-            state.grid, build_coefficient_table(config.max_l)
-        )
+        table = build_kernel_table(state.grid, build_coefficient_table(config.max_l))
     key = (config.shells[i].spin, config.shells[i].l)
     channel_orbitals = [
         state.orbitals[j]
@@ -580,7 +561,10 @@ class TheoremReport:
         return all(c is not False for c in (self.clause_i, self.clause_ii, self.clause_iii))
 
 
+# The norm slack of the structural report and the energy slack of the
+# corollary's inequalities.
 _NORM_TOL = 1e-6
+_COROLLARY_TOL = 1e-9
 
 
 def theorem_report(state: ScfState) -> TheoremReport:
@@ -625,9 +609,8 @@ def theorem_report(state: ScfState) -> TheoremReport:
             clause_i = False
             notes.append(f"shell {i}: negative eigenvalue but norm {nrm:.8f}")
         if hypothesis:
-            ok = occupied
-            ii_applicable.append(ok)
-            if not ok:
+            ii_applicable.append(occupied)
+            if not occupied:
                 notes.append(f"shell {i}: guaranteed non-empty but norm {nrm:.3e}")
         if full_norm_hyp:
             ok = abs(nrm - 1.0) <= _NORM_TOL
@@ -636,16 +619,14 @@ def theorem_report(state: ScfState) -> TheoremReport:
                 notes.append(f"shell {i}: guaranteed full norm but norm {nrm:.8f}")
 
     clause_ii = all(ii_applicable) if ii_applicable else None
+    clause_iii = None
     if regime == "Z > N-1":
-        ok3 = all(
+        clause_iii = all(
             float(state.eigenvalues[i]) < 0 and abs(float(state.norms[i]) - 1.0) <= _NORM_TOL
             for i in range(config.n_shells)
         )
-        clause_iii = ok3
-        if not ok3:
+        if not clause_iii:
             notes.append("positive-ion regime but not all shells bound and full")
-    else:
-        clause_iii = None
     return TheoremReport(
         model=config.model,
         Z=Z,
@@ -689,9 +670,7 @@ class CorollaryReport:
 
 
 def corollary_inequalities(
-    state: ScfState,
-    table: KernelTable | None = None,
-    tol: float = 1e-9,
+    state: ScfState, table: KernelTable | None = None
 ) -> CorollaryReport:
     """Evaluate the negative-ion energy inequalities on a converged state."""
     config = state.config
@@ -705,9 +684,7 @@ def corollary_inequalities(
             "the corollary needs shells (l=0, l_2.., l_s) with l_i >= 1 beyond the first"
         )
     if table is None:
-        table = build_kernel_table(
-            state.grid, build_coefficient_table(config.max_l)
-        )
+        table = build_kernel_table(state.grid, build_coefficient_table(config.max_l))
     Z = config.Z
     s0 = config.n_shells
     tail = config.shells[1:]
@@ -730,7 +707,7 @@ def corollary_inequalities(
         remainder_bound=remainder_bound,
         shell_condition_holds=condition,
         charge_matches=charge_matches,
-        full_below_single=full <= single_bound + tol,
-        remainder_above_bound=without >= remainder_bound - tol,
+        full_below_single=full <= single_bound + _COROLLARY_TOL,
+        remainder_above_bound=without >= remainder_bound - _COROLLARY_TOL,
         bounds_separate=remainder_bound > single_bound,
     )

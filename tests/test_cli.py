@@ -225,16 +225,40 @@ def test_solve_exit_2_on_grid_too_small_for_a_channel(tmp_path, capsys, update):
         {"kind": "exponential", "n": 700, "r_max": 12.0, "gamma": 700},
         {"kind": "exponential", "n": 700, "r_max": 12.0, "gamma": 800},
         {"kind": "exponential", "n": 700, "r_max": 1e-300},
+        {"kind": "uniform", "n": 50, "r_max": 1e-150},
+        {"kind": "uniform", "n": 50, "r_max": 1e-100},
     ],
-    ids=["uniform-tiny-box", "exponential-gamma700", "exponential-gamma800", "exponential-tiny-box"],
+    ids=[
+        "uniform-tiny-box",
+        "exponential-gamma700",
+        "exponential-gamma800",
+        "exponential-tiny-box",
+        "uniform-n50-1e-150",
+        "uniform-n50-1e-100",
+    ],
 )
 def test_solve_exit_2_on_overflowing_grid(tmp_path, capsys, grid):
-    # points, weights or the kinetic stencil 1/(h w) leave double range
+    # points, weights, the kinetic stencil 1/(h w) or the square the
+    # tridiagonal eigensolver forms of it leave double range
     path = write_config(tmp_path, dict(HELIUM, grid=grid))
     with pytest.raises(ConfigError, match="^grid: .*non-finite"):
         load_config(path)
     assert main(["solve", str(path)]) == 2
     assert "config error: grid:" in capsys.readouterr().err
+
+
+def test_solve_exit_2_on_kernel_overflow(tmp_path, capsys):
+    # r**3, the multipole power of the s-p exchange, overflows at r = 1e150
+    doc = dict(
+        HELIUM,
+        shells=[{"l": 0}, {"l": 1}],
+        grid={"kind": "uniform", "n": 50, "r_max": 1e150},
+    )
+    path = write_config(tmp_path, doc)
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: ")
+    assert "r_max = 1e+150" in err and "max_l = 1" in err
 
 
 def test_solve_converges_on_uniform_grid_n40000(tmp_path, capsys):

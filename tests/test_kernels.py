@@ -15,6 +15,7 @@ from radialhf import (
     apply_exchange_kernel,
     build_coefficient_table,
     build_kernel_table,
+    kernels,
     make_grid,
     oracle_u_kernel,
     p_kernel,
@@ -211,13 +212,25 @@ def test_exchange_apply_rejects_bad_inputs(table400):
         apply_exchange_kernel(table400, 0, 0, np.ones(table400.grid.n + 1))
 
 
-def test_build_rejects_memory_overrun():
+def test_build_rejects_memory_overrun(monkeypatch):
     g = make_grid("uniform", 400, 10.0)
-    table = build_kernel_table(g, build_coefficient_table(2), max_bytes=10_000)
+    table = build_kernel_table(g, build_coefficient_table(2))
+    monkeypatch.setattr(kernels, "MAX_TABLE_BYTES", 10_000)
     with pytest.raises(MemoryError):
         table.exchange(0, 1)
     with pytest.raises(MemoryError):
         table.direct
+
+
+def test_build_rejects_multipole_powers_out_of_range():
+    # r**(k+1) for k <= 2 max_l must stay finite and nonzero at both ends
+    g = make_grid("uniform", 50, 1e150)
+    assert build_kernel_table(g, build_coefficient_table(0)).max_l == 0  # r**1 fits
+    with pytest.raises(ValueError, match="r_max = 1e\\+150 .*max_l = 1"):
+        build_kernel_table(g, build_coefficient_table(1))  # r**3 overflows
+    tiny = make_grid("exponential", 50, 1e-20, gamma=60.0)
+    with pytest.raises(ValueError, match="underflows"):
+        build_kernel_table(tiny, build_coefficient_table(4))  # r_1**9 underflows
 
 
 def test_build_allocates_no_dense_matrix():

@@ -230,6 +230,16 @@ def test_residual_bound_follows_each_vector(monkeypatch):
         lowest_eigenpairs(fock, count)
 
 
+def test_nan_eigenvectors_fail_the_residual_check():
+    # LAPACK's tridiagonal solver returns NaN eigenvectors for an operator
+    # this stiff; a NaN residual must fail the check, not pass it
+    g = make_grid("uniform", 50, 1.0)
+    bare = hydrogenic_matrix(g, 0, 2.0)
+    fock = FockMatrix(grid=g, l=0, diag=1e150 * bare.diag, off=1e150 * bare.off)
+    with pytest.raises(EigensolverError, match="residual nan"):
+        lowest_eigenpairs(fock, 1)
+
+
 def test_inexact_solve_checks_its_loosened_target(monkeypatch):
     # an inexact solve may stop once each residual is 1e-2 of its start
     # vector's, and its check allows that much; a pair left at the start,

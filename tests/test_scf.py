@@ -13,6 +13,8 @@ from radialhf import (
     RadialFunction,
     ScfOptions,
     ShellSpec,
+    build_coefficient_table,
+    build_kernel_table,
     corollary_inequalities,
     first_order_coefficient,
     fock_matrix,
@@ -88,6 +90,23 @@ def test_energy_trace_is_monotone(he_state, ne_state):
 def test_residuals_meet_tolerance(he_state, ne_state, hminus_state):
     for state in (he_state, ne_state, hminus_state):
         assert np.all(state.residuals <= 1e-6)
+
+
+@pytest.mark.parametrize("fixture", ["he_state", "ne_state", "z3_setup"])
+def test_residuals_are_own_fock_equation_residuals(fixture, request):
+    # each occupied shell's residual is |F u - e u| with F assembled from
+    # the mean field of the state's own orbitals, u = sqrt(w) f
+    state = request.getfixturevalue(fixture)
+    state = state[0] if isinstance(state, tuple) else state
+    config = state.config
+    table = build_kernel_table(state.grid, build_coefficient_table(config.max_l))
+    field = mean_field(config, state.orbitals)
+    sq = np.sqrt(state.grid.weights)
+    for key, shell_idx in config.channels().items():
+        u = np.column_stack([sq * state.orbitals[i].values for i in shell_idx])
+        fu = fock_matrix(table, config, key, *field).apply(u)
+        expected = np.linalg.norm(fu - u * state.eigenvalues[shell_idx], axis=0)
+        np.testing.assert_allclose(state.residuals[shell_idx], expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +222,7 @@ def test_default_grid_shape():
     g = make_default_grid(he)
     assert (g.kind, g.n, g.r_max) == ("uniform", 2000, 15.0)
     ne = Configuration(Z=10.0, model="rhf", shells=(ShellSpec(0),))
-    assert make_default_grid(ne, n=800).r_max == 12.0
+    assert (make_default_grid(ne).n, make_default_grid(ne).r_max) == (2000, 12.0)
 
 
 def test_non_convergence_is_reported_not_raised():
