@@ -36,7 +36,8 @@ from .angular import build_coefficient_table
 from .configuration import ALPHA, BETA, Configuration, ShellSpec
 from .energy import EnergyBreakdown
 from .grid import RadialFunction, RadialGrid, make_grid
-from .kernels import build_kernel_table
+from .kernels import KernelBudgetError, build_kernel_table
+from .operators import mean_field
 from .scf import (
     ScfOptions,
     ScfState,
@@ -115,13 +116,14 @@ def _parse_grid(raw: Any, config: Configuration) -> RadialGrid:
     _expect(n >= need, "grid.n", f"must be at least {need} for a channel of {need - 2} shells")
     r_max = raw.get("r_max", default.r_max)
     _expect(_is_number(r_max) and r_max > 0, "grid.r_max", "must be a positive number")
-    gamma = raw.get("gamma", 6.0)
-    if kind == "uniform":
-        _expect("gamma" not in raw, "grid.gamma", "only applies to exponential grids")
-    else:
+    kw = {}
+    if "gamma" in raw:
+        _expect(kind == "exponential", "grid.gamma", "only applies to exponential grids")
+        gamma = raw["gamma"]
         _expect(_is_number(gamma) and gamma > 0, "grid.gamma", "must be a positive number")
+        kw["gamma"] = float(gamma)
     try:
-        return make_grid(kind, n, float(r_max), gamma=float(gamma))
+        return make_grid(kind, n, float(r_max), **kw)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
 
@@ -284,13 +286,7 @@ def _orbital_label(config: Configuration, i: int) -> str:
 def _write_orbitals_csv(path: Path, state: ScfState) -> None:
     config = state.config
     labels = [_orbital_label(config, i) for i in range(config.n_shells)]
-    density = np.zeros(state.grid.n)
-    for i in range(config.n_shells):
-        density += (
-            config.spin_factor
-            * config.shell_weight(i)
-            * np.abs(state.orbitals[i].values) ** 2
-        )
+    density = config.spin_factor * mean_field(config, state.orbitals)[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["r"] + labels + ["density"])
@@ -374,7 +370,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:  # the kernels' multipole powers leave double range
         print(f"config error: grid: {exc}", file=sys.stderr)
         return 2
-    state = solve(config, grid, table, options)
+    try:
+        state = solve(config, grid, table, options)
+    except KernelBudgetError as exc:  # the dense kernel matrices would not fit
+        print(f"config error: grid: {exc}", file=sys.stderr)
+        return 2
     scale, unit_name = _unit_scale(args.units)
 
     default_json = output.get("result") or Path(args.config).with_suffix(".result.json")

@@ -18,6 +18,10 @@ and exchange acts within each spin only.  Occupying identical shells and
 orbitals in both spin channels reproduces the restricted energy exactly
 — an identity the tests pin down.
 
+Both repulsion terms are priced on the mean field the Fock operators are
+built from, exchange as the quadratic form of each channel's exchange
+operator, through the same apply as :meth:`FockMatrix.apply`.
+
 The one-shell decomposition and the second-order expansion below are the
 workhorses of the variational analysis: the energy splits exactly into
 (everything without shell i) + (shell i in the field of the others) +
@@ -35,10 +39,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .configuration import ALPHA, BETA, Configuration, ShellSpec
+from .configuration import Configuration, ShellSpec
 from .grid import RadialFunction, coulomb_expectation, kinetic_quadratic_form
 from .kernels import KernelTable, apply_direct_kernel, apply_exchange_kernel
-from .operators import fock_matrix, mean_field
+from .operators import exchange_apply, fock_matrix, mean_field
 
 __all__ = [
     "ShellSpec",
@@ -109,11 +113,6 @@ def _check_inputs(
         )
 
 
-def _pair_direct(grid, dens_a: np.ndarray, dens_b: np.ndarray) -> float:
-    """``Int a(r) b(s) / max(r,s) dr ds`` for two sampled densities."""
-    return float(np.sum(grid.weights * dens_a * apply_direct_kernel(grid, dens_b)))
-
-
 def total_energy(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
@@ -122,46 +121,35 @@ def total_energy(
     """Energy breakdown for either model.
 
     With ``s`` the configuration's spin factor, kinetic and attraction
-    carry ``s``, the direct term ``s^2/2``, and exchange ``s/2`` times
-    the sum over same-spin shell pairs.  Orbitals need not be normalized
-    or orthogonal, and may be complex.
+    carry ``s``.  The rest comes from the orbitals' :func:`mean_field`:
+    direct is ``s^2/2`` times the density against its own potential, and
+    exchange ``s/2`` times ``sum_a c_a Re <V_a| K V_a>`` over each
+    channel's factors ``(V, c)``, ``K`` being that channel's exchange
+    operator.  Orbitals need not be normalized or orthogonal, and may be
+    complex; a configuration without shells has energy 0.
     """
     _check_inputs(config, orbitals, table)
+    if not config.shells:
+        return EnergyBreakdown(kinetic=0.0, attraction=0.0, direct=0.0, exchange=0.0)
     grid = table.grid
     s = config.spin_factor
-    weights = [config.shell_weight(j) for j in range(config.n_shells)]
-
-    kinetic = 0.0
-    coulomb = 0.0
-    for c, sh, f in zip(weights, config.shells, orbitals):
+    kinetic = coulomb = 0.0
+    for j, (sh, f) in enumerate(zip(config.shells, orbitals)):
+        c = config.shell_weight(j)
         kinetic += s * c * kinetic_quadratic_form(f, sh.l)
         coulomb += s * c * coulomb_expectation(f)
-    attraction = -config.Z * coulomb
-
-    rho = np.zeros(grid.n)
-    for c, f in zip(weights, orbitals):
-        rho += c * np.abs(f.values) ** 2
-    direct = 0.5 * s * s * _pair_direct(grid, rho, rho)
-
-    # Same-spin pairs: Int conj(f_j)(r) conj(f_k)(s) U(r,s) f_k(r) f_j(s)
-    # is a U conj(a) with a = w conj(f_j) f_k; one kernel apply per (l, l')
-    # takes all pair densities of that block.
-    blocks: dict[tuple[int, int], tuple[list, list]] = {}
-    for spin in (None, ALPHA, BETA):
-        idx = [j for j, sh in enumerate(config.shells) if sh.spin == spin]
-        for pos, j in enumerate(idx):
-            for k in idx[pos:]:
-                l, lp = sorted((config.shells[j].l, config.shells[k].l))
-                cols, factors = blocks.setdefault((l, lp), ([], []))
-                cols.append(grid.weights * np.conj(orbitals[j].values) * orbitals[k].values)
-                factors.append(weights[j] * weights[k] * (1.0 if k == j else 2.0))
+    rho, gammas = mean_field(config, orbitals)
+    direct = 0.5 * s * s * float(np.sum(grid.weights * rho * apply_direct_kernel(grid, rho)))
     pairs = 0.0
-    for (l, lp), (cols, factors) in blocks.items():
-        a = np.column_stack(cols)
-        u_a = apply_exchange_kernel(table, l, lp, np.conj(a))
-        pairs += float(np.dot(factors, np.real(np.sum(a * u_a, axis=0))))
+    for (spin, l), (V, c) in gammas.items():
+        KV = sum(
+            exchange_apply(table, l, lp, W, d, V)
+            for (spin_k, lp), (W, d) in gammas.items()
+            if spin_k == spin
+        )
+        pairs += float(c @ np.real(np.sum(np.conj(V) * KV, axis=0)))
     return EnergyBreakdown(
-        kinetic=kinetic, attraction=attraction, direct=direct, exchange=0.5 * s * pairs
+        kinetic=kinetic, attraction=-config.Z * coulomb, direct=direct, exchange=0.5 * s * pairs
     )
 
 

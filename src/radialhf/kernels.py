@@ -1,15 +1,15 @@
 """Electron-electron interaction kernels on the radial grid.
 
-Two kernels drive everything:
-
-* the direct kernel ``1/max(r, s)``, the monopole electrostatic
-  interaction of two shell densities;
-* the exchange kernel for angular momenta ``(l, l')``,
+One closed form drives everything: the exchange kernel for angular
+momenta ``(l, l')``,
 
   ``U_{l l'}(r, s) = sum_k w2(l, l', k) * min(r,s)^k / max(r,s)^{k+1}``,
 
-  where ``w2`` are the squared 3j coefficients of :mod:`radialhf.angular`
-  and ``k`` runs over ``|l-l'| .. l+l'`` in steps of 2.
+where ``w2`` are the squared 3j coefficients of :mod:`radialhf.angular`
+and ``k`` runs over ``|l-l'| .. l+l'`` in steps of 2.  Its ``l = l' = 0``
+case is the direct kernel ``1/max(r, s)`` (``w2(0, 0, 0) = 1``), the
+monopole electrostatic interaction of two shell densities.  One evaluator
+fills a table's matrices and gives the pointwise :func:`u_kernel`.
 
 Key properties (all tested): symmetry in ``(r, s)`` and in ``(l, l')``;
 the bounds ``0 <= U_{l l'} <= 1/max(r,s)`` and ``U_{l l} >=
@@ -45,6 +45,7 @@ from .grid import RadialGrid
 
 __all__ = [
     "QuadratureAccuracyError",
+    "KernelBudgetError",
     "u_kernel",
     "oracle_u_kernel",
     "p_kernel",
@@ -68,6 +69,8 @@ def _check_radii(*vals: float) -> None:
 def u_kernel(l: int, lp: int, r: float, s: float, table: CoefficientTable) -> float:
     """Exchange kernel ``U_{l l'}(r, s)`` from the coefficient table.
 
+    The one-point case of a :class:`KernelTable` row, bit for bit.
+
     Parameters
     ----------
     l, lp : int
@@ -83,15 +86,7 @@ def u_kernel(l: int, lp: int, r: float, s: float, table: CoefficientTable) -> fl
         Kernel value in ``(0, 1/max(r, s)]``.
     """
     _check_radii(r, s)
-    lo, hi = (r, s) if r <= s else (s, r)
-    ratio = lo / hi
-    acc = 0.0
-    power = ratio ** abs(l - lp)
-    ratio2 = ratio * ratio
-    for k in range(abs(l - lp), l + lp + 1, 2):
-        acc += table.coeff(l, lp, k) * power
-        power *= ratio2
-    return acc / hi
+    return float(_exchange_rows(r, s, table, *sorted((l, lp))))
 
 
 def p_kernel(l: int, r: float, s: float, table: CoefficientTable) -> float:
@@ -194,15 +189,11 @@ _BLOCK_ELEMENTS = 1 << 17
 MAX_TABLE_BYTES = 4 << 30
 
 
-def _direct_rows(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows of ``1/max(r, s)`` at radii ``rows``."""
-    return 1.0 / np.maximum.outer(rows, r)
-
-
 def _exchange_rows(
     rows: np.ndarray, r: np.ndarray, coeffs: CoefficientTable, l: int, lp: int
 ) -> np.ndarray:
-    """Rows of ``U_{l lp}`` (``l <= lp``) at radii ``rows``, term by term in ``k``."""
+    """Rows of ``U_{l lp}`` (``l <= lp``) at radii ``rows``, term by term in ``k``:
+    the one evaluator of the table's matrices and of :func:`u_kernel`."""
     r_hi = np.maximum.outer(rows, r)
     ratio = np.minimum.outer(rows, r) / r_hi
     ratio2 = ratio * ratio
@@ -214,29 +205,35 @@ def _exchange_rows(
     return acc * (1.0 / r_hi)
 
 
+class KernelBudgetError(MemoryError):
+    """A kernel table's dense matrices would exceed ``MAX_TABLE_BYTES``."""
+
+
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     """Interaction kernels on a grid, sampled as dense matrices on demand.
 
-    ``direct[i, j] = 1/max(r_i, r_j)`` and ``exchange(l, lp)[i, j] =
-    U_{l lp}(r_i, r_j)``.  The table holds only the grid, ``max_l`` and
-    the angular ``coeffs`` (which :func:`apply_exchange_kernel` reads);
-    each dense matrix is built on its first access, a block of rows at a
-    time, and cached, once per unordered pair ``(l, lp)``.  The first
-    access checks that the whole table fits in ``MAX_TABLE_BYTES``.
+    ``exchange(l, lp)[i, j] = U_{l lp}(r_i, r_j)``, and ``direct`` is
+    ``exchange(0, 0)``, the monopole ``1/max(r_i, r_j)``.  The table holds
+    only the grid, ``max_l`` and the angular ``coeffs`` (which
+    :func:`apply_exchange_kernel` reads); each dense matrix is built on
+    its first access, a block of rows at a time, and cached, once per
+    unordered pair ``(l, lp)``.  The first access checks that the whole
+    table fits in ``MAX_TABLE_BYTES`` and raises
+    :class:`KernelBudgetError` if not.
     """
 
     grid: RadialGrid
     max_l: int
     coeffs: CoefficientTable = field(repr=False)
-    _dense: dict[object, np.ndarray] = field(
+    _dense: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
 
     @property
     def direct(self) -> np.ndarray:
-        """Sampled direct kernel matrix ``1/max(r, s)``."""
-        return self._matrix("direct")
+        """Sampled direct kernel matrix ``1/max(r, s)``: ``exchange(0, 0)``."""
+        return self.exchange(0, 0)
 
     def exchange(self, l: int, lp: int) -> np.ndarray:
         """Sampled exchange kernel matrix ``U_{l lp}``."""
@@ -246,18 +243,12 @@ class KernelTable:
                 f"(l={l}, lp={lp})"
             )
         key = (l, lp) if l <= lp else (lp, l)
-        return self._matrix(key)
-
-    def _matrix(self, key) -> np.ndarray:
-        try:
+        if key in self._dense:
             return self._dense[key]
-        except KeyError:
-            pass
         n = self.grid.n
-        n_pairs = (self.max_l + 1) * (self.max_l + 2) // 2
-        required = (n_pairs + 1) * n * n * 8
+        required = (self.max_l + 1) * (self.max_l + 2) // 2 * n * n * 8
         if required > MAX_TABLE_BYTES:
-            raise MemoryError(
+            raise KernelBudgetError(
                 f"kernel table for n = {n}, max_l = {self.max_l} requires "
                 f"{required} bytes ({required / 2**30:.2f} GiB), over the "
                 f"budget of {MAX_TABLE_BYTES} bytes"
@@ -266,12 +257,7 @@ class KernelTable:
         mat = np.empty((n, n))
         step = max(1, _BLOCK_ELEMENTS // n)
         for i in range(0, n, step):
-            rows = r[i : i + step]
-            mat[i : i + step] = (
-                _direct_rows(rows, r)
-                if key == "direct"
-                else _exchange_rows(rows, r, self.coeffs, *key)
-            )
+            mat[i : i + step] = _exchange_rows(r[i : i + step], r, self.coeffs, *key)
         self._dense[key] = mat
         return mat
 

@@ -52,6 +52,7 @@ __all__ = [
     "FockMatrix",
     "hydrogenic_matrix",
     "mean_field",
+    "exchange_apply",
     "fock_matrix",
     "lowest_eigenpairs",
     "DENSE_CUTOFF",
@@ -108,13 +109,15 @@ class EigensolverError(RuntimeError):
     """Eigensolver failed to meet its residual contract."""
 
 
-def _exchange_apply(
+def exchange_apply(
     table: KernelTable, l: int, lp: int, V: np.ndarray, c: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """``(Gamma o U_{l lp}) x`` for ``Gamma = V diag(c) V^H`` and a block ``x``.
 
-    The kernel applies to the ``rank * columns`` products ``conj(V) x``,
-    taken ``_CHUNK_BYTES`` at a time.
+    The one exchange product: :meth:`FockMatrix.apply` subtracts it per
+    density matrix, and :func:`radialhf.energy.total_energy` prices
+    exchange with it.  The kernel applies to the ``rank * columns``
+    products ``conj(V) x``, taken ``_CHUNK_BYTES`` at a time.
     """
     n, m = x.shape
     rank = V.shape[1]
@@ -155,7 +158,7 @@ class FockMatrix:
         y[:-1] += off * block[1:]
         y[1:] += off * block[:-1]
         for lp, V, c in self.exchange:
-            y = y - _exchange_apply(self.table, self.l, lp, V, c, block)
+            y = y - exchange_apply(self.table, self.l, lp, V, c, block)
         return y.reshape(x.shape)
 
     @property

@@ -22,7 +22,10 @@ values.  Convergence requires both a relative energy change below
 ``tol_energy`` and every occupied orbital to satisfy its own Fock
 equation (built from the accepted orbitals, undamped) to ``tol_residual``.
 A final undamped pass polishes the converged orbitals into genuine
-eigenfunctions of their self-consistent Fock matrices.
+eigenfunctions of their self-consistent Fock matrices; unless it keeps
+every shell occupied or dropped and does not raise the energy beyond the
+acceptance slack, the solve ends ``not self-consistent:`` at the accepted
+point (below ``Z = N - 1`` a dropped shell may refill in the empty field).
 
 Constraint handling follows the relaxed feasible set: orbital norms may
 be 0 or 1, never fractional.  Within each ``(spin, l)`` channel the
@@ -208,6 +211,9 @@ _INEXACT_REDUCTION = 1e-2
 # The first step ``a`` of the mean field toward a proposal.
 _STEP_START = 0.3
 
+# A proposal may exceed the accepted energy E by this times 1 + |E|.
+_ACCEPT_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class _Point:
@@ -300,6 +306,18 @@ def _residuals(table: KernelTable, config: Configuration, point: _Point) -> np.n
     return res
 
 
+def _polish_failure(config: Configuration, point: _Point, polished: _Point) -> str:
+    """Why the polish shows that a converged ``point`` is no fixed point, or ""."""
+    for i, sh in enumerate(config.shells):
+        if (point.occupation.norms[i] > 0.0) != (polished.occupation.norms[i] > 0.0):
+            verb = "drops" if point.occupation.norms[i] > 0.0 else "occupies"
+            return f"not self-consistent: the polish {verb} shell {i} (l={sh.l})"
+    rise = polished.energy - point.energy
+    if rise > _ACCEPT_SLACK * (1.0 + abs(point.energy)):
+        return f"not self-consistent: the polish raises the energy by {rise:.3e}"
+    return ""
+
+
 def solve(
     config: Configuration,
     grid: RadialGrid | None = None,
@@ -341,7 +359,7 @@ def solve(
             # The previous proposal's eigenfunctions warm-start the solver.
             proposal = _evaluate(table, config, field, options, proposal, _INEXACT_REDUCTION)
             energy = point.energy
-            if proposal.energy <= energy + 1e-10 * (1.0 + abs(energy)):
+            if proposal.energy <= energy + _ACCEPT_SLACK * (1.0 + abs(energy)):
                 point = proposal
                 trace.append(point.energy)
                 streak += 1
@@ -369,9 +387,12 @@ def solve(
         if converged:
             # Undamped polish: make the occupied orbitals eigenfunctions of
             # the Fock matrices built from the converged state itself.
-            point = _evaluate(table, config, point.field, options, point, None)
-            trace.append(point.energy)
-            message = "converged"
+            polished = _evaluate(table, config, point.field, options, point, None)
+            message = _polish_failure(config, point, polished) or "converged"
+            converged = message == "converged"
+            if converged:
+                point = polished
+                trace.append(point.energy)
     except EigensolverError as exc:
         # Report the last accepted point; before the start is evaluated
         # that is the empty state.

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from radialhf import EigensolverError, ScfOptions, scf, validate
+from radialhf import EigensolverError, ScfOptions, kernels, scf, validate
 from radialhf.cli import ConfigError, load_config, main
 
 HELIUM = {
@@ -259,6 +259,17 @@ def test_solve_exit_2_on_kernel_overflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: grid: ")
     assert "r_max = 1e+150" in err and "max_l = 1" in err
+
+
+def test_solve_exit_2_on_kernel_budget(tmp_path, capsys, monkeypatch):
+    # the first dense kernel access charges the whole table against the
+    # budget; over it the solve is refused as a grid error, not a traceback
+    monkeypatch.setattr(kernels, "MAX_TABLE_BYTES", 10_000)
+    path = write_config(tmp_path, HELIUM)
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: kernel table for n = 700, max_l = 0")
+    assert "over the budget of 10000 bytes" in err
 
 
 def test_solve_converges_on_uniform_grid_n40000(tmp_path, capsys):

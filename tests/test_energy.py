@@ -64,11 +64,13 @@ def test_helium_exponential_trial_energy(he_config, he_grid, he_table):
 
 
 def test_zero_orbitals_have_zero_energy(grid300, table300):
-    config = Configuration(Z=3.0, model="rhf", shells=(ShellSpec(0), ShellSpec(1)))
-    zeros = [RadialFunction(grid300, np.zeros(grid300.n)) for _ in range(2)]
-    bd = rhf_energy(config, zeros, table300)
-    assert (bd.kinetic, bd.attraction, bd.direct, bd.exchange) == (0, 0, 0, 0)
-    assert bd.total == 0.0
+    # the configuration without shells is what decompose_shell leaves of helium
+    for shells in ((ShellSpec(0), ShellSpec(1)), ()):
+        config = Configuration(Z=3.0, model="rhf", shells=shells)
+        zeros = [RadialFunction(grid300, np.zeros(grid300.n)) for _ in shells]
+        bd = rhf_energy(config, zeros, table300)
+        assert (bd.kinetic, bd.attraction, bd.direct, bd.exchange) == (0, 0, 0, 0)
+        assert bd.total == 0.0
 
 
 def test_breakdown_signs_and_total(grid300, table300, rng):

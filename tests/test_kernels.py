@@ -216,10 +216,11 @@ def test_build_rejects_memory_overrun(monkeypatch):
     g = make_grid("uniform", 400, 10.0)
     table = build_kernel_table(g, build_coefficient_table(2))
     monkeypatch.setattr(kernels, "MAX_TABLE_BYTES", 10_000)
-    with pytest.raises(MemoryError):
+    with pytest.raises(kernels.KernelBudgetError):
         table.exchange(0, 1)
-    with pytest.raises(MemoryError):
+    with pytest.raises(kernels.KernelBudgetError):
         table.direct
+    assert issubclass(kernels.KernelBudgetError, MemoryError)
 
 
 def test_build_rejects_multipole_powers_out_of_range():
@@ -270,3 +271,4 @@ def test_lazy_matrices_equal_eager_formula(kind):
         assert np.array_equal(table.exchange(lp, l), exchange[(l, lp)])
         assert table.exchange(lp, l) is table.exchange(l, lp)  # cached once
     assert np.array_equal(table.direct, direct)
+    assert table.direct is table.exchange(0, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from radialhf import (
     theorem_report,
 )
 from radialhf import scf
-from radialhf.cli import load_config
+from radialhf.cli import load_config, main
 from radialhf.validate import HELIUM_ORACLE_ENERGY, HELIUM_ORACLE_LEVEL
 from util import eigh_pairs, random_orbital
 
@@ -257,6 +258,27 @@ def test_rejected_proposals_keep_the_trace_descending():
     trace = np.array(state.energy_trace)
     assert np.all(np.diff(trace) <= 1e-10 * (1.0 + np.abs(trace[:-1])))
     assert state.energy == trace[-1]
+
+
+@pytest.mark.parametrize("Z, l", [(2.0, 1), (0.5, 0), (3.0, 2)], ids=["p-Z2", "s-Z0.5", "d-Z3"])
+def test_refilled_shell_is_not_self_consistent(Z, l, tmp_path, capsys):
+    # below Z = N - 1 the single shell is dropped in its own field and the
+    # polish in the empty field that remains occupies it again, raising
+    # the energy: no fixed point, so the solve reports the accepted point
+    config = Configuration(Z=Z, model="rhf", shells=(ShellSpec(l),))
+    state = solve(config, make_grid("uniform", 400, 20.0))
+    assert not state.converged
+    assert state.message == f"not self-consistent: the polish occupies shell 0 (l={l})"
+    trace = np.array(state.energy_trace)
+    assert np.all(np.diff(trace) <= 0.0)
+    assert state.energy == trace[-1]
+    assert theorem_report(state).clause_ii is False
+    doc = {"Z": Z, "model": "rhf", "shells": [{"l": l}],
+           "grid": {"kind": "uniform", "n": 400, "r_max": 20.0}}
+    path = tmp_path / "ion.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    assert "NOT converged (not self-consistent:" in capsys.readouterr().out
 
 
 def test_factored_mix_equals_dense_mix(table400):
