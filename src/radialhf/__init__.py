@@ -2,12 +2,13 @@
 
 The package solves the radial self-consistent field problem for an atom
 whose state is a list of ``(l, spin)`` shells with relaxed norm
-constraints (each radial orbital has norm 0 or 1 at a minimizer).  It
-exposes the energy functionals, the radial Fock operators with exact
-angular exchange kernels, an SCF solver that mixes the mean field
-toward each Roothaan proposal and halves its step whenever a proposal
-raises the energy, far-field probes of minimality, and structural
-reports checking the bound-state guarantees.
+constraints (each radial orbital has norm at most 1; at a minimizer with
+``Z >= N - 1`` every norm is 0 or 1, while below that a fractional norm
+can lower the energy).  It exposes the energy functionals, the radial
+Fock operators with exact angular exchange kernels, an SCF solver that
+mixes the mean field toward each Roothaan proposal and halves its step
+whenever a proposal raises the energy, far-field probes of minimality,
+and structural reports checking the bound-state guarantees.
 
 Radial units: kinetic energy is ``|f'|^2`` without the 1/2, so the
 one-electron levels sit at ``-Z^2/(4 n^2)``; multiply totals by 2 for
@@ -26,6 +27,7 @@ from .energy import (
     EnergyBreakdown,
     ShellDecomposition,
     decompose_shell,
+    field_energy,
     first_order_coefficient,
     lower_bound,
     rhf_energy,
@@ -114,6 +116,7 @@ __all__ = [
     "coulomb_expectation",
     "decompose_shell",
     "derivative_sq_norm",
+    "field_energy",
     "first_order_coefficient",
     "fock_matrix",
     "hydrogenic_matrix",

@@ -13,7 +13,8 @@ reloads a solved state and evaluates the far-field second-order response
 of the energy on one shell.
 
 Exit codes: 0 success; 1 the iteration did not converge; 2 invalid
-configuration or input files; 3 validation failures.
+configuration or input files, or an output path that is a directory or
+whose directory does not exist; 3 validation failures.
 
 Stored quantities are always in radial units (kinetic term ``|f'|^2``,
 hydrogenic levels at ``-Z^2/(4 n^2)``); ``--units hartree`` converts
@@ -168,9 +169,13 @@ def _parse_output(raw: Any) -> dict[str, str]:
 
 def _read_json_object(path: Path) -> dict:
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such file")
+    except OSError as exc:  # a directory, or no permission
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})")
     _expect(isinstance(raw, dict), "(top level)", "must be a JSON object")
@@ -365,6 +370,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    default_json = output.get("result") or Path(args.config).with_suffix(".result.json")
+    default_csv = output.get("orbitals_csv") or Path(args.config).with_suffix(".orbitals.csv")
+    out_json = Path(args.out) if args.out else Path(default_json)
+    out_csv = Path(args.orbitals) if args.orbitals else Path(default_csv)
+    for path in (out_json, out_csv):  # before the table and the solve, which may take long
+        if path.is_dir() or not path.parent.is_dir():
+            missing = f"directory {path.parent} does not exist"
+            problem = "is a directory" if path.is_dir() else missing
+            print(f"output error: {path}: {problem}", file=sys.stderr)
+            return 2
     try:
         table = build_kernel_table(grid, build_coefficient_table(config.max_l))
     except ValueError as exc:  # the kernels' multipole powers leave double range
@@ -376,11 +391,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"config error: grid: {exc}", file=sys.stderr)
         return 2
     scale, unit_name = _unit_scale(args.units)
-
-    default_json = output.get("result") or Path(args.config).with_suffix(".result.json")
-    default_csv = output.get("orbitals_csv") or Path(args.config).with_suffix(".orbitals.csv")
-    out_json = Path(args.out) if args.out else Path(default_json)
-    out_csv = Path(args.orbitals) if args.orbitals else Path(default_csv)
     doc = state_to_document(state, options)
     out_json.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     _write_orbitals_csv(out_csv, state)

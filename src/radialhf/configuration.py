@@ -94,13 +94,3 @@ class Configuration:
         for i, sh in enumerate(self.shells):
             out.setdefault((sh.spin, sh.l), []).append(i)
         return out
-
-    def drop_shell(self, i: int) -> "Configuration":
-        """The configuration with shell ``i`` removed."""
-        if not 0 <= i < len(self.shells):
-            raise ValueError(f"shell index {i} out of range")
-        return Configuration(
-            Z=self.Z,
-            model=self.model,
-            shells=self.shells[:i] + self.shells[i + 1 :],
-        )

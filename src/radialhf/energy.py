@@ -18,9 +18,10 @@ and exchange acts within each spin only.  Occupying identical shells and
 orbitals in both spin channels reproduces the restricted energy exactly
 — an identity the tests pin down.
 
-Both repulsion terms are priced on the mean field the Fock operators are
-built from, exchange as the quadratic form of each channel's exchange
-operator, through the same apply as :meth:`FockMatrix.apply`.
+Every energy is the :func:`field_energy` of a mean field ``(rho,
+gammas)``, the one the Fock operators are built from, with exchange
+through the same apply as :meth:`FockMatrix.apply`; it is therefore
+exactly quadratic along a segment of fields.
 
 The one-shell decomposition and the second-order expansion below are the
 workhorses of the variational analysis: the energy splits exactly into
@@ -35,14 +36,14 @@ continuum limit, because every term shares one trapezoidal rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .configuration import Configuration, ShellSpec
-from .grid import RadialFunction, coulomb_expectation, kinetic_quadratic_form
+from .grid import RadialFunction, kinetic_quadratic_form
 from .kernels import KernelTable, apply_direct_kernel, apply_exchange_kernel
-from .operators import exchange_apply, fock_matrix, mean_field
+from .operators import Factors, exchange_apply, fock_matrix, mean_field
 
 __all__ = [
     "ShellSpec",
@@ -51,6 +52,7 @@ __all__ = [
     "ShellDecomposition",
     "rhf_energy",
     "uhf_energy",
+    "field_energy",
     "total_energy",
     "decompose_shell",
     "first_order_coefficient",
@@ -113,44 +115,52 @@ def _check_inputs(
         )
 
 
+def field_energy(
+    config: Configuration,
+    table: KernelTable,
+    field: tuple[np.ndarray, Mapping[tuple[str | None, int], Factors]],
+) -> EnergyBreakdown:
+    """Energy breakdown of a field ``(rho, gammas)``, from :func:`mean_field` or mixed.
+
+    With ``s`` the spin factor and ``(V, c)`` each channel's factors of
+    functions ``f_a = V_a / sqrt(w)``, kinetic is ``s sum_a c_a`` times the
+    jump form of ``f_a`` (the tridiagonal operator's quadratic form would
+    cancel terms of size ``|f|^2 / h^2``), attraction ``-s Z <rho, 1/r>``,
+    direct ``s^2/2 <rho, U rho>``, and exchange ``s/2 sum_a c_a Re <V_a|
+    K V_a>``, each unordered same-spin pair of channels applied once.
+    """
+    rho, gammas = field
+    grid = table.grid
+    s = config.spin_factor
+    attraction = -s * config.Z * float(np.sum(grid.weights * rho / grid.points))
+    direct = 0.5 * s * s * float(np.sum(grid.weights * rho * apply_direct_kernel(grid, rho)))
+    sq = np.sqrt(grid.weights)[:, None]
+    kinetic = pairs = 0.0
+    channels = list(gammas.items())
+    for j, ((spin, l), (V, c)) in enumerate(channels):
+        funcs = (RadialFunction(grid, f) for f in (V / sq).T)
+        kinetic += s * float(sum(c_a * kinetic_quadratic_form(f, l) for c_a, f in zip(c, funcs)))
+        for (spin_k, lp), (W, d) in channels[j:]:
+            if spin_k == spin:  # the (lp, l) term equals this one
+                KV = exchange_apply(table, l, lp, W, d, V)
+                pairs += (1 if lp == l else 2) * float(c @ np.real(np.sum(np.conj(V) * KV, axis=0)))
+    return EnergyBreakdown(kinetic, attraction, direct, 0.5 * s * pairs)
+
+
 def total_energy(
     config: Configuration,
     orbitals: Sequence[RadialFunction],
     table: KernelTable,
 ) -> EnergyBreakdown:
-    """Energy breakdown for either model.
+    """:func:`field_energy` of the orbitals' :func:`mean_field`, for either model.
 
-    With ``s`` the configuration's spin factor, kinetic and attraction
-    carry ``s``.  The rest comes from the orbitals' :func:`mean_field`:
-    direct is ``s^2/2`` times the density against its own potential, and
-    exchange ``s/2`` times ``sum_a c_a Re <V_a| K V_a>`` over each
-    channel's factors ``(V, c)``, ``K`` being that channel's exchange
-    operator.  Orbitals need not be normalized or orthogonal, and may be
-    complex; a configuration without shells has energy 0.
+    Orbitals need not be normalized or orthogonal, and may be complex; a
+    configuration without shells has energy 0.
     """
     _check_inputs(config, orbitals, table)
     if not config.shells:
         return EnergyBreakdown(kinetic=0.0, attraction=0.0, direct=0.0, exchange=0.0)
-    grid = table.grid
-    s = config.spin_factor
-    kinetic = coulomb = 0.0
-    for j, (sh, f) in enumerate(zip(config.shells, orbitals)):
-        c = config.shell_weight(j)
-        kinetic += s * c * kinetic_quadratic_form(f, sh.l)
-        coulomb += s * c * coulomb_expectation(f)
-    rho, gammas = mean_field(config, orbitals)
-    direct = 0.5 * s * s * float(np.sum(grid.weights * rho * apply_direct_kernel(grid, rho)))
-    pairs = 0.0
-    for (spin, l), (V, c) in gammas.items():
-        KV = sum(
-            exchange_apply(table, l, lp, W, d, V)
-            for (spin_k, lp), (W, d) in gammas.items()
-            if spin_k == spin
-        )
-        pairs += float(c @ np.real(np.sum(np.conj(V) * KV, axis=0)))
-    return EnergyBreakdown(
-        kinetic=kinetic, attraction=-config.Z * coulomb, direct=direct, exchange=0.5 * s * pairs
-    )
+    return field_energy(config, table, mean_field(config, orbitals))
 
 
 def rhf_energy(
@@ -213,12 +223,9 @@ def decompose_shell(
     grid = table.grid
     c_i = config.shell_weight(i)
     f_i = orbitals[i]
-    reduced = config.drop_shell(i)
-    rest = [f for j, f in enumerate(orbitals) if j != i]
-    without = rhf_energy(reduced, rest, table).total
-
-    key = (None, config.shells[i].l)
-    fock = fock_matrix(table, config, key, *mean_field(config, orbitals, drop=i))
+    field = mean_field(config, orbitals, drop=i)
+    without = field_energy(config, table, field).total
+    fock = fock_matrix(table, config, (None, config.shells[i].l), *field)
     single = 2.0 * c_i * np.real(fock.bilinear(f_i, f_i))
 
     dens = np.abs(f_i.values) ** 2

@@ -115,9 +115,10 @@ def exchange_apply(
     """``(Gamma o U_{l lp}) x`` for ``Gamma = V diag(c) V^H`` and a block ``x``.
 
     The one exchange product: :meth:`FockMatrix.apply` subtracts it per
-    density matrix, and :func:`radialhf.energy.total_energy` prices
+    density matrix, and :func:`radialhf.energy.field_energy` prices
     exchange with it.  The kernel applies to the ``rank * columns``
-    products ``conj(V) x``, taken ``_CHUNK_BYTES`` at a time.
+    products ``conj(V) x``, taken ``_CHUNK_BYTES`` at a time; a rank-0
+    ``Gamma`` gives zero.
     """
     n, m = x.shape
     rank = V.shape[1]
@@ -127,8 +128,8 @@ def exchange_apply(
     for j in range(0, m, step):
         xj = x[:, j : j + step]
         z = (np.conj(V)[:, :, None] * xj[:, None, :]).reshape(n, -1)
-        uz = apply_exchange_kernel(table, l, lp, z).reshape(n, rank, -1)
-        out[:, j : j + step] = np.einsum("na,a,nam->nm", V, c, uz)
+        uz = apply_exchange_kernel(table, l, lp, z).reshape(n, rank, xj.shape[1])
+        out[:, j : j + step] = np.matmul((V * c)[:, None, :], uz)[:, 0]
     return out
 
 
@@ -216,8 +217,8 @@ def mean_field(
     ``gammas[(spin, l)] = (V, c)`` factors ``Gamma = sum_j c_j u_j u_j^*
     = V diag(c) V^H`` with columns ``u_j = sqrt(w) f_j``, so the density
     matrices are already symmetrized and never formed.  ``drop`` leaves
-    shell ``drop`` out, giving the mean field of
-    ``config.drop_shell(drop)``.
+    shell ``drop`` out, giving the mean field of the configuration
+    without it.
     """
     if not orbitals or len(orbitals) != config.n_shells:
         raise ValueError(
@@ -386,7 +387,8 @@ def lowest_eigenpairs(
     quadrature inner product; eigenvalues ascend, with degenerate pairs
     ordered by position and their eigenvectors orthonormalized (no
     simplicity assumption).  A tridiagonal operator (no exchange) goes
-    to a tridiagonal solver at any size.  Otherwise LOBPCG (Knyazev,
+    to a tridiagonal solver at any size, and each eigenvalue returned is
+    its vector's Rayleigh quotient.  Otherwise LOBPCG (Knyazev,
     SIAM J. Sci. Comput. 23, 517, 2001) computes the
     pairs, preconditioned by the tridiagonal part shifted just below its
     lowest eigenvalue and solved in O(n).  ``dense_cutoff`` selects how
@@ -418,9 +420,14 @@ def lowest_eigenpairs(
     sq = np.sqrt(fock.grid.weights)
     floor = None
     if not fock.exchange:
-        eps, vecs = sla.eigh_tridiagonal(
+        # The solver's eigenvalues are accurate to about eps ||T||, too
+        # coarse for the residual check where the centrifugal diagonal is
+        # large (near r_1 on exponential grids); each vector's Rayleigh
+        # quotient meets it.
+        _, vecs = sla.eigh_tridiagonal(
             fock.diag, fock.off, select="i", select_range=(0, count - 1)
         )
+        eps = np.sum(vecs * fock.apply(vecs), axis=0)
     else:
         x0 = None if start is None else np.column_stack([sq * f.values for f in start])
         apply = fock.matrix.__matmul__ if n <= dense_cutoff else fock.apply

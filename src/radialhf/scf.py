@@ -47,7 +47,7 @@ import numpy as np
 
 from .angular import build_coefficient_table
 from .configuration import Configuration
-from .energy import EnergyBreakdown, second_order_coefficient, total_energy
+from .energy import EnergyBreakdown, field_energy, second_order_coefficient, total_energy
 from .grid import RadialFunction, RadialGrid, make_grid
 from .kernels import KernelTable, build_kernel_table
 from .operators import (
@@ -713,9 +713,7 @@ def corollary_inequalities(
     condition = s0 < 2 + sum((sh.l / (sh.l + 1)) ** 2 for sh in tail)
 
     full = total_energy(config, state.orbitals, table).total
-    gutted = list(state.orbitals)
-    gutted[0] = _zero_function(state.grid)
-    without = total_energy(config, gutted, table).total
+    without = field_energy(config, table, mean_field(config, state.orbitals, drop=0)).total
 
     single_bound = -0.25 * Z * Z
     remainder_bound = -0.25 * Z * Z * sum(

@@ -201,6 +201,45 @@ def test_solve_exit_2_on_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_solve_exit_2_on_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(HELIUM).replace("rhf", "rhf\xff").encode("latin-1"))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert ("cannot read" if kind == "directory" else "not UTF-8") in err
+
+
+@pytest.mark.parametrize(
+    "flags, output, problem",
+    [
+        (["--out", "missing/r.json"], None, "directory missing does not exist"),
+        (["--orbitals", "missing/o.csv"], None, "directory missing does not exist"),
+        ([], {"result": "missing/r.json"}, "directory missing does not exist"),
+        ([], {"orbitals_csv": "missing/o.csv"}, "directory missing does not exist"),
+        (["--out", "."], None, ".: is a directory"),
+    ],
+    ids=["--out", "--orbitals", "output.result", "output.orbitals_csv", "--out-directory"],
+)
+def test_solve_exit_2_on_bad_output_path(tmp_path, capsys, monkeypatch, flags, output, problem):
+    # output paths are checked before the kernel table is built
+    monkeypatch.chdir(tmp_path)
+    doc = dict(HELIUM, output=output) if output else HELIUM
+    path = write_config(tmp_path, doc)
+
+    def unreachable(*args):
+        raise AssertionError("kernel table built")
+
+    monkeypatch.setattr("radialhf.cli.build_kernel_table", unreachable)
+    assert main(["solve", str(path)] + flags) == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize(
     "update",
     [

@@ -16,6 +16,8 @@ from radialhf import (
     build_coefficient_table,
     build_kernel_table,
     decompose_shell,
+    energy,
+    field_energy,
     first_order_coefficient,
     fock_matrix,
     lower_bound,
@@ -156,6 +158,45 @@ def test_exchange_energy_matches_dense_form(kind, model):
         dense = dense_exchange_energy(config, orbs, table)
         assert dense > 0
         assert abs(total_energy(config, orbs, table).exchange - dense) <= 1e-13 * dense
+
+
+@pytest.mark.parametrize("model", ["rhf", "uhf"])
+def test_field_energy_is_quadratic_along_a_segment(model, monkeypatch):
+    # the mixed field (1 - t) A + t B stacks both fields' factors with
+    # weights (1 - t, t); its energy is a quadratic in t, priced with one
+    # exchange apply per unordered same-spin pair of channels
+    rng = np.random.default_rng(17)
+    g = make_grid("exponential", 200, 20.0)
+    table = build_kernel_table(g, build_coefficient_table(1))
+    if model == "rhf":
+        shells = (ShellSpec(0), ShellSpec(0), ShellSpec(1))
+        pairs = 3  # (0, 0), (0, 1), (1, 1)
+    else:
+        shells = (ShellSpec(0, ALPHA), ShellSpec(1, ALPHA), ShellSpec(0, BETA))
+        pairs = 4  # alpha (0, 0), (0, 1), (1, 1); beta (0, 0)
+    config = Configuration(Z=10.0, model=model, shells=shells)
+    orbs_a, orbs_b = (random_orbital_set(rng, g, config) for _ in range(2))
+    (rho_a, gam_a), (rho_b, gam_b) = mean_field(config, orbs_a), mean_field(config, orbs_b)
+
+    def mixed(t):
+        return (1 - t) * rho_a + t * rho_b, {
+            key: (np.hstack([V, gam_b[key][0]]), np.concatenate([(1 - t) * c, t * gam_b[key][1]]))
+            for key, (V, c) in gam_a.items()
+        }
+
+    calls = []
+    counted = energy.exchange_apply
+    monkeypatch.setattr(energy, "exchange_apply", lambda *a: calls.append(a[1:3]) or counted(*a))
+    E = {t: field_energy(config, table, mixed(t)).total for t in (0.0, 0.25, 0.5, 0.75, 1.0)}
+    assert len(calls) == 5 * pairs
+    assert len(set(calls)) == len({tuple(sorted(c)) for c in calls})  # one order per pair
+    monkeypatch.undo()
+    for t, orbs in ((0.0, orbs_a), (1.0, orbs_b)):
+        assert E[t] == pytest.approx(total_energy(config, orbs, table).total, rel=1e-13)
+    # the quadratic through t = 0, 1/2, 1, evaluated at 1/4 and 3/4
+    for t, w in ((0.25, (3 / 8, 3 / 4, -1 / 8)), (0.75, (-1 / 8, 3 / 4, 3 / 8))):
+        fit = w[0] * E[0.0] + w[1] * E[0.5] + w[2] * E[1.0]
+        assert abs(E[t] - fit) <= 1e-12 * abs(E[t])
 
 
 def test_global_phase_invariance(grid300, table300, rng):

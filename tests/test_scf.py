@@ -281,6 +281,32 @@ def test_refilled_shell_is_not_self_consistent(Z, l, tmp_path, capsys):
     assert "NOT converged (not self-consistent:" in capsys.readouterr().out
 
 
+def test_fully_dropped_channel_converges(tmp_path, capsys):
+    # the p shell is dropped at the start and its mixed density matrix
+    # compresses to no column, whose exchange apply must give zero
+    doc = {"Z": 3, "model": "rhf", "shells": [{"l": 0}, {"l": 1}],
+           "grid": {"kind": "uniform", "n": 300, "r_max": 3}}
+    path = tmp_path / "ion.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 0
+    assert "converged in 12 iterations" in capsys.readouterr().out
+    result = json.loads(path.with_suffix(".result.json").read_text())
+    assert result["norms"] == [1.0, 0.0]
+    assert result["energy"] == pytest.approx(-3.4790301905, abs=1e-9)
+
+
+def test_dropped_high_l_shell_leaves_helium():
+    # an l = 8 shell on an exponential grid, whose bare level must pass the
+    # tridiagonal eigensolver's residual check; dropped, it leaves helium's
+    # energy on the same grid
+    grid = make_grid("exponential", 400, 20.0)
+    both = solve(Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0), ShellSpec(8))), grid)
+    helium = solve(Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),)), grid)
+    assert both.converged and helium.converged
+    assert list(both.norms) == [pytest.approx(1.0), 0.0]
+    assert both.energy == pytest.approx(helium.energy, rel=1e-12)
+
+
 def test_factored_mix_equals_dense_mix(table400):
     g = table400.grid
     rng = np.random.default_rng(59)
