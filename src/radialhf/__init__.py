@@ -67,7 +67,6 @@ from .operators import (
     mean_field,
 )
 from .scf import (
-    BumpProfile,
     CorollaryReport,
     Occupation,
     ProbeResult,
@@ -89,7 +88,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA",
     "BETA",
-    "BumpProfile",
     "CoefficientTable",
     "Configuration",
     "CorollaryReport",

@@ -339,7 +339,6 @@ def load_state(result_path: str | Path, csv_path: str | Path) -> ScfState:
             grid=grid,
             orbitals=tuple(orbitals),
             eigenvalues=np.array(raw["eigenvalues"], dtype=float),
-            norms=np.array([f.norm() for f in orbitals]),
             residuals=np.array(raw["residuals"], dtype=float),
             marginal=tuple(bool(x) for x in raw["marginal"]),
             breakdown=EnergyBreakdown(
@@ -407,13 +406,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"  shell {i}: l={sh.l}{spin}  eps = {scale * state.eigenvalues[i]:+.8f}"
             f"  norm = {state.norms[i]:.8f}  residual = {state.residuals[i]:.2e}{flag}"
         )
-    rep = theorem_report(state)
-    clauses = ", ".join(
-        f"{name}={'n/a' if val is None else val}"
-        for name, val in (("i", rep.clause_i), ("ii", rep.clause_ii), ("iii", rep.clause_iii))
-    )
-    print(f"structure: regime {rep.regime}; clauses {clauses}")
-    for note in rep.notes:
+    rep = doc["theorem"]
+    verdicts = ((name, rep[f"clause_{name}"]) for name in ("i", "ii", "iii"))
+    clauses = ", ".join(f"{name}={'n/a' if val is None else val}" for name, val in verdicts)
+    print(f"structure: regime {rep['regime']}; clauses {clauses}")
+    for note in rep["notes"]:
         print(f"  note: {note}")
     print(f"wrote {out_json} and {out_csv}")
     return 0 if state.converged else 1

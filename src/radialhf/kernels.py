@@ -215,8 +215,9 @@ class KernelTable:
 
     ``exchange(l, lp)[i, j] = U_{l lp}(r_i, r_j)``, and ``direct`` is
     ``exchange(0, 0)``, the monopole ``1/max(r_i, r_j)``.  The table holds
-    only the grid, ``max_l`` and the angular ``coeffs`` (which
-    :func:`apply_exchange_kernel` reads); each dense matrix is built on
+    only the grid and the angular ``coeffs`` (which
+    :func:`apply_exchange_kernel` reads), whose range is the table's
+    ``max_l``; each dense matrix is built on
     its first access, a block of rows at a time, and cached, once per
     unordered pair ``(l, lp)``.  The first access checks that the whole
     table fits in ``MAX_TABLE_BYTES`` and raises
@@ -224,11 +225,15 @@ class KernelTable:
     """
 
     grid: RadialGrid
-    max_l: int
     coeffs: CoefficientTable = field(repr=False)
     _dense: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    @property
+    def max_l(self) -> int:
+        """Largest angular momentum covered: that of the coefficients."""
+        return self.coeffs.max_l
 
     @property
     def direct(self) -> np.ndarray:
@@ -262,32 +267,19 @@ class KernelTable:
         return mat
 
 
-def build_kernel_table(
-    grid: RadialGrid, coeffs: CoefficientTable, max_l: int | None = None
-) -> KernelTable:
+def build_kernel_table(grid: RadialGrid, coeffs: CoefficientTable) -> KernelTable:
     """Kernel table for a grid; its dense matrices are built on access.
 
-    Parameters
-    ----------
-    grid : RadialGrid
-    coeffs : CoefficientTable
-        Angular coefficients; must cover ``max_l``.
-    max_l : int, optional
-        Largest angular momentum needed (default: ``coeffs.max_l``).
+    The table covers the angular momenta of ``coeffs``: ``l <=
+    coeffs.max_l``.
 
     Raises
     ------
     ValueError
-        If ``max_l`` exceeds the coefficient table's range, or if a
-        multipole power ``r**(k+1)``, ``k <= 2 max_l``, overflows or
+        If a multipole power ``r**(k+1)``, ``k <= 2 max_l``, overflows or
         underflows to zero at either end of the grid.
     """
-    if max_l is None:
-        max_l = coeffs.max_l
-    if max_l > coeffs.max_l:
-        raise ValueError(
-            f"coefficient table covers l <= {coeffs.max_l}, requested {max_l}"
-        )
+    max_l = coeffs.max_l
     # The highest power is the first to overflow (r > 1) or underflow (r < 1).
     with np.errstate(over="ignore", under="ignore"):
         powers = grid.points[[0, -1]] ** (2 * max_l + 1)
@@ -297,7 +289,7 @@ def build_kernel_table(
             f"with max_l = {max_l}: r**(k+1) overflows or underflows for a "
             f"k <= {2 * max_l}"
         )
-    return KernelTable(grid=grid, max_l=max_l, coeffs=coeffs)
+    return KernelTable(grid=grid, coeffs=coeffs)
 
 
 def _apply_multipole(r: np.ndarray, k: int, y: np.ndarray) -> np.ndarray:

@@ -24,9 +24,9 @@ A :class:`FockMatrix` never stores ``B``: it keeps the tridiagonal local
 part and the exchange factors, and :meth:`FockMatrix.apply` multiplies
 by ``B`` in O(n) per factor column through the semiseparable kernel
 apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs one
-preconditioned LOBPCG for every operator with exchange; the dense
-cutoff only selects how it applies ``B``: as one product with the dense
-matrix at or below it, through ``apply`` above it.  A solve is
+preconditioned LOBPCG for every operator with exchange; the grid size
+only selects how it applies ``B``: as one product with the dense matrix
+up to ``DENSE_CUTOFF`` points, through ``apply`` above it.  A solve is
 strict by default: each pair converges to the rounding scale of the
 product with the tridiagonal part.  Given a warm start and a
 ``reduction``, it is inexact: each pair may stop once its residual has
@@ -58,8 +58,11 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-# Above this size LOBPCG applies the matrix-free operator instead of
-# the dense matrix.
+# Above this grid size LOBPCG applies the matrix-free operator instead
+# of the dense matrix.  Each side wins somewhere: on 2 cores with one BLAS
+# thread, the N = 10 ions at Z = 8..12 (exponential n = 600) took
+# 2.30-2.37 s dense against 2.68-2.87 s matrix-free, and Li, Be and the
+# Z = 3 ion in UHF (n = 600) 0.88-1.01 s against 0.73-0.88 s.
 DENSE_CUTOFF = 2500
 
 # A returned pair's residual must be below this fraction of ||T| |x||,
@@ -376,7 +379,6 @@ def _lobpcg(
 def lowest_eigenpairs(
     fock: FockMatrix,
     count: int,
-    dense_cutoff: int = DENSE_CUTOFF,
     start: Sequence[RadialFunction] | None = None,
     tol: float | None = None,
     reduction: float | None = None,
@@ -391,8 +393,8 @@ def lowest_eigenpairs(
     its vector's Rayleigh quotient.  Otherwise LOBPCG (Knyazev,
     SIAM J. Sci. Comput. 23, 517, 2001) computes the
     pairs, preconditioned by the tridiagonal part shifted just below its
-    lowest eigenvalue and solved in O(n).  ``dense_cutoff`` selects how
-    it applies ``B``: at or below it as one product with
+    lowest eigenvalue and solved in O(n).  The grid size selects how
+    it applies ``B``: up to ``DENSE_CUTOFF`` points as one product with
     :attr:`FockMatrix.matrix`, built once per call, above it through
     :meth:`FockMatrix.apply` alone.  LOBPCG starts from ``start``
     (``count`` functions, such as the previous iteration's
@@ -430,7 +432,7 @@ def lowest_eigenpairs(
         eps = np.sum(vecs * fock.apply(vecs), axis=0)
     else:
         x0 = None if start is None else np.column_stack([sq * f.values for f in start])
-        apply = fock.matrix.__matmul__ if n <= dense_cutoff else fock.apply
+        apply = fock.matrix.__matmul__ if n <= DENSE_CUTOFF else fock.apply
         if reduction is not None and x0 is not None:
             norms = np.linalg.norm(x0, axis=0)
             u = x0 / np.where(norms > 0.0, norms, 1.0)  # a zero vector: floor 0

@@ -50,8 +50,8 @@ from .configuration import Configuration
 from .energy import EnergyBreakdown, field_energy, second_order_coefficient, total_energy
 from .grid import RadialFunction, RadialGrid, make_grid
 from .kernels import KernelTable, build_kernel_table
+from . import operators
 from .operators import (
-    DENSE_CUTOFF,
     EigensolverError,
     Factors,
     fock_matrix,
@@ -63,7 +63,6 @@ __all__ = [
     "ScfOptions",
     "Occupation",
     "ScfState",
-    "BumpProfile",
     "ProbeResult",
     "ShellVerdict",
     "TheoremReport",
@@ -93,16 +92,19 @@ class ScfOptions:
     """Solver knobs; the defaults suit well-posed atomic configurations.
 
     ``tol_energy`` is relative (scaled by ``1 + |E|``); ``tol_residual``
-    bounds ``|H f - e f|`` per occupied orbital.  ``dense_cutoff`` is the
-    grid size up to which the eigensolver applies each Fock operator as a
-    dense matrix; above it the apply is matrix-free and no n x n array is
-    formed.
+    bounds ``|H f - e f|`` per occupied orbital.
     """
 
     tol_energy: float = 1e-9
     tol_residual: float = 1e-6
     max_iter: int = 500
-    dense_cutoff: int = DENSE_CUTOFF
+
+    @property
+    def dense_cutoff(self) -> int:
+        """The grid size up to which the eigensolver applies each Fock
+        operator as a dense matrix, ``operators.DENSE_CUTOFF``; above it the
+        apply is matrix-free and no n x n array is formed.  Read-only."""
+        return operators.DENSE_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,12 @@ class Occupation:
 
     orbitals: tuple[RadialFunction, ...]
     eigenvalues: np.ndarray
-    norms: np.ndarray
     marginal: tuple[bool, ...]
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Each shell's occupation: its orbital's norm."""
+        return np.array([f.norm() for f in self.orbitals])
 
 
 @dataclass(eq=False)
@@ -123,7 +129,6 @@ class ScfState:
     grid: RadialGrid
     orbitals: tuple[RadialFunction, ...]
     eigenvalues: np.ndarray
-    norms: np.ndarray
     residuals: np.ndarray
     marginal: tuple[bool, ...]
     breakdown: EnergyBreakdown
@@ -136,6 +141,11 @@ class ScfState:
     @property
     def energy(self) -> float:
         return self.breakdown.total
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Each shell's occupation: its orbital's norm."""
+        return np.array([f.norm() for f in self.orbitals])
 
 
 def make_default_grid(config: Configuration) -> RadialGrid:
@@ -167,7 +177,6 @@ def occupy(
     n_shells = config.n_shells
     orbitals: list[RadialFunction | None] = [None] * n_shells
     eigenvalues = np.zeros(n_shells)
-    norms = np.zeros(n_shells)
     marginal = [False] * n_shells
     for key, shell_idx in config.channels().items():
         if key not in channel_pairs:
@@ -184,13 +193,11 @@ def occupy(
                 orbitals[i] = _zero_function(funcs[rank].grid)
             else:
                 orbitals[i] = funcs[rank]
-                norms[i] = funcs[rank].norm()
                 if abs(e) <= TOL_ZERO:
                     marginal[i] = True
     return Occupation(
         orbitals=tuple(orbitals),  # type: ignore[arg-type]
         eigenvalues=eigenvalues,
-        norms=norms,
         marginal=tuple(marginal),
     )
 
@@ -250,7 +257,6 @@ def _evaluate(
         key: lowest_eigenpairs(
             fock_matrix(table, config, key, *field),
             len(shell_idx),
-            options.dense_cutoff,
             start=None if start is None else start.pairs[key][1],
             tol=tol,
             reduction=reduction,
@@ -308,9 +314,10 @@ def _residuals(table: KernelTable, config: Configuration, point: _Point) -> np.n
 
 def _polish_failure(config: Configuration, point: _Point, polished: _Point) -> str:
     """Why the polish shows that a converged ``point`` is no fixed point, or ""."""
+    before, after = point.occupation.norms, polished.occupation.norms
     for i, sh in enumerate(config.shells):
-        if (point.occupation.norms[i] > 0.0) != (polished.occupation.norms[i] > 0.0):
-            verb = "drops" if point.occupation.norms[i] > 0.0 else "occupies"
+        if (before[i] > 0.0) != (after[i] > 0.0):
+            verb = "drops" if before[i] > 0.0 else "occupies"
             return f"not self-consistent: the polish {verb} shell {i} (l={sh.l})"
     rise = polished.energy - point.energy
     if rise > _ACCEPT_SLACK * (1.0 + abs(point.energy)):
@@ -332,6 +339,8 @@ def solve(
     iteration with the last accepted state and the message
     ``eigensolver failed: <detail>``.
     """
+    if not config.shells:
+        raise ValueError("configuration has no shells")
     options = options or ScfOptions()
     if grid is None:
         grid = make_default_grid(config)
@@ -401,7 +410,7 @@ def solve(
         if point is None:
             empty = tuple(_zero_function(grid) for _ in config.shells)
             n = config.n_shells
-            occ = Occupation(empty, np.zeros(n), np.zeros(n), (False,) * n)
+            occ = Occupation(empty, np.zeros(n), (False,) * n)
             point = _Point({}, occ, total_energy(config, empty, table), empty_field)
             trace.append(point.energy)
 
@@ -411,7 +420,6 @@ def solve(
         grid=grid,
         orbitals=occ.orbitals,
         eigenvalues=occ.eigenvalues,
-        norms=occ.norms,
         residuals=_residuals(table, config, point),
         marginal=occ.marginal,
         breakdown=point.breakdown,
@@ -427,19 +435,6 @@ def solve(
 # Far-field probes
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """A smooth unit-norm bump supported in ``[R, 2R]``.
-
-    The reference shape is ``exp(-1/((x-1)(2-x)))`` on ``(1, 2)``; the
-    scaled profile is ``J_R(r) = J(r/R)/sqrt(R)``, renormalized on the
-    grid so the discrete norm is exactly 1.
-    """
-
-    R: float
-    profile: RadialFunction
-
-
 def _bump_shape(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     mask = (x > 1.0) & (x < 2.0)
@@ -448,8 +443,12 @@ def _bump_shape(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_bump(grid: RadialGrid, R: float) -> BumpProfile:
-    """Sample the scaled far-field bump on a grid.
+def make_bump(grid: RadialGrid, R: float) -> RadialFunction:
+    """A smooth unit-norm bump supported in ``[R, 2R]``.
+
+    The reference shape is ``exp(-1/((x-1)(2-x)))`` on ``(1, 2)``; the
+    scaled profile is ``J_R(r) = J(r/R)/sqrt(R)``, renormalized on the
+    grid so the discrete norm is exactly 1.
 
     Raises
     ------
@@ -472,7 +471,7 @@ def make_bump(grid: RadialGrid, R: float) -> BumpProfile:
             f"grid too coarse to resolve a bump on [{R}, {2 * R}] "
             f"(no interior samples)"
         )
-    return BumpProfile(R=float(R), profile=RadialFunction(grid, vals / nrm))
+    return RadialFunction(grid, vals / nrm)
 
 
 @dataclass(frozen=True)
@@ -517,7 +516,7 @@ def probe_shell(
     ]
     results = []
     for R in R_values:
-        h_vals = make_bump(state.grid, R).profile.values.copy()
+        h_vals = make_bump(state.grid, R).values.copy()
         for f in channel_orbitals:
             overlap = np.sum(state.grid.weights * np.conj(f.values) * h_vals) / (
                 f.norm() ** 2
@@ -591,6 +590,7 @@ _COROLLARY_TOL = 1e-9
 def theorem_report(state: ScfState) -> TheoremReport:
     """Check the structural guarantees on a state (reports, never raises)."""
     config = state.config
+    norms = state.norms
     N = config.electron_count
     Z = config.Z
     if Z - (N - 1) > 1e-9:
@@ -606,7 +606,7 @@ def theorem_report(state: ScfState) -> TheoremReport:
     ii_applicable = []
     for i, sh in enumerate(config.shells):
         eps = float(state.eigenvalues[i])
-        nrm = float(state.norms[i])
+        nrm = float(norms[i])
         occupied = nrm > _NORM_TOL
         hypothesis = Z > N - config.spin_factor * (2 * sh.l + 1)
         full_norm_hyp = Z >= N - 1 - 1e-9 and (config.model == "rhf" or sh.l != 0)
@@ -643,7 +643,7 @@ def theorem_report(state: ScfState) -> TheoremReport:
     clause_iii = None
     if regime == "Z > N-1":
         clause_iii = all(
-            float(state.eigenvalues[i]) < 0 and abs(float(state.norms[i]) - 1.0) <= _NORM_TOL
+            float(state.eigenvalues[i]) < 0 and abs(float(norms[i]) - 1.0) <= _NORM_TOL
             for i in range(config.n_shells)
         )
         if not clause_iii:

@@ -66,7 +66,7 @@ from .kernels import (
     p_kernel,
     u_kernel,
 )
-from .operators import fock_matrix, hydrogenic_matrix, lowest_eigenpairs, mean_field
+from .operators import _lobpcg, fock_matrix, hydrogenic_matrix, lowest_eigenpairs, mean_field
 from .scf import (
     ScfState,
     corollary_inequalities,
@@ -632,11 +632,8 @@ def _iterative_vs_dense():
     _, vecs = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 1)
     cfg = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     fock = fock_matrix(table, cfg, (None, 0), *mean_field(cfg, vecs))
-    sq = np.sqrt(g.weights)
-    pairs = []
-    for cutoff in (100, 1000):  # matrix-free and dense apply
-        eps, funcs = lowest_eigenpairs(fock, 2, dense_cutoff=cutoff)
-        pairs.append((eps, np.column_stack([sq * f.values for f in funcs])))
+    applies = (fock.apply, fock.matrix.__matmul__)  # matrix-free and dense
+    pairs = [_lobpcg(fock, 2, None, None, apply, None) for apply in applies]
     pairs.append(sla.eigh(fock.matrix, subset_by_index=(0, 1)))
     err = 0.0
     for (eps_a, u_a), (eps_b, u_b) in itertools.combinations(pairs, 2):
@@ -897,7 +894,7 @@ def _bump_profile():
     err = 0.0
     for n, r_max, R in ((600, 12.0, 3.0), (1200, 100.0, 10.0)):
         g = make_grid("uniform", n, r_max)
-        profile = make_bump(g, R).profile
+        profile = make_bump(g, R)
         r, vals = g.points, profile.values
         err = max(err, abs(profile.norm() - 1.0))
         if bad := _unmet(
@@ -1031,7 +1028,7 @@ def _depleted_shell_probe():
     _, funcs = lowest_eigenpairs(hydrogenic_matrix(table.grid, 0, 2.0), 1)
     f = RadialFunction(table.grid, funcs[0].values / math.sqrt(2.0))
     # the probe reads the configuration, the grid and the orbitals
-    depleted = dataclasses.replace(state, orbitals=(f,), norms=np.array([f.norm()]))
+    depleted = dataclasses.replace(state, orbitals=(f,))
     probes = probe_shell(depleted, 0, [5.0, 10.0, 20.0, 40.0], 0.0, table)
     pr = {p.R: p.coefficient for p in probes}
     note = ", ".join(f"{c:+.3e} at R = {R:g}" for R, c in pr.items())

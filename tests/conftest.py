@@ -55,8 +55,8 @@ def grid300():
 
 
 @pytest.fixture(scope="session")
-def table300(grid300, coeffs4):
-    return build_kernel_table(grid300, coeffs4, max_l=2)
+def table300(grid300):
+    return build_kernel_table(grid300, build_coefficient_table(2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,6 @@ def depleted_state(he_config, he_wide_grid, he_wide_table):
         grid=he_wide_grid,
         orbitals=(f,),
         eigenvalues=np.array([float(eps[0])]),
-        norms=np.array([f.norm()]),
         residuals=np.zeros(1),
         marginal=(False,),
         breakdown=total_energy(he_config, [f], he_wide_table),

@@ -173,6 +173,17 @@ def test_solve_summary_output(tmp_path, capsys):
     assert "radial" in out
 
 
+def test_solve_reports_structure_once(tmp_path, capsys, monkeypatch):
+    # the printed summary reads the report the result document holds
+    calls = []
+    report = scf.theorem_report
+    monkeypatch.setattr("radialhf.cli.theorem_report", lambda s: calls.append(s) or report(s))
+    path = write_config(tmp_path, HELIUM)
+    assert main(["solve", str(path)]) == 0
+    assert len(calls) == 1
+    assert "structure: regime Z > N-1; clauses i=True, ii=True, iii=True" in capsys.readouterr().out
+
+
 def test_solve_hartree_units_double_display_only(tmp_path, capsys):
     path = write_config(tmp_path, HELIUM)
     assert main(["solve", str(path), "--units", "hartree"]) == 0

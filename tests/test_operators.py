@@ -118,7 +118,7 @@ def _assert_pairs_match(pairs, reference, tol=1e-9):
         assert abs(abs(inner(a, b)) - 1.0) < tol
 
 
-def test_iterative_solver_matches_dense():
+def test_iterative_solver_matches_dense(monkeypatch):
     # helium-like operator with exchange above the dense cutoff: LOBPCG on
     # the matrix-free apply, cold and warm-started, against LOBPCG on the
     # dense matrix and against scipy's dense solver
@@ -130,7 +130,8 @@ def test_iterative_solver_matches_dense():
     reference = eigh_pairs(fock, 2)
     iterative = lowest_eigenpairs(fock, 2)  # above the dense cutoff
     warm = lowest_eigenpairs(fock, 2, start=hydro)
-    dense = lowest_eigenpairs(fock, 2, dense_cutoff=4000)
+    monkeypatch.setattr(operators, "DENSE_CUTOFF", 4000)
+    dense = lowest_eigenpairs(fock, 2)
     for pairs in (iterative, warm):
         _assert_pairs_match(pairs, dense)
     for pairs in (iterative, warm, dense):
@@ -174,7 +175,7 @@ def test_dense_apply_matches_eigh(case, top_unbound):
     _assert_pairs_match(warm, cold)
 
 
-def test_deep_local_part_solves():
+def test_deep_local_part_solves(monkeypatch):
     # a local part far below -Z^2/4 - 1, which a Z-based shift could not
     # precondition: the shift follows the local part's own spectrum
     g = make_grid("uniform", 300, 10.0)
@@ -189,10 +190,11 @@ def test_deep_local_part_solves():
     sq = np.sqrt(g.weights)
     reference = lam[:1], [RadialFunction(g, vecs[:, 0] / sq)]
     for cutoff in (100, 1000):  # matrix-free and dense apply
-        _assert_pairs_match(lowest_eigenpairs(fock, 1, dense_cutoff=cutoff), reference)
+        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
+        _assert_pairs_match(lowest_eigenpairs(fock, 1), reference)
 
 
-def test_failed_preconditioner_raises():
+def test_failed_preconditioner_raises(monkeypatch):
     # a coupling of 1e20 swamps the local part's lowest eigenvalue in
     # rounding: the computed one lies above the spectrum, and the banded
     # Cholesky of the shifted local part reports it
@@ -208,8 +210,26 @@ def test_failed_preconditioner_raises():
         exchange=((0, v[:, None], np.ones(1)),),
     )
     for cutoff in (100, 1000):
+        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
         with pytest.raises(EigensolverError, match="not below the spectrum"):
-            lowest_eigenpairs(fock, 1, dense_cutoff=cutoff)
+            lowest_eigenpairs(fock, 1)
+
+
+def test_dense_cutoff_is_read_at_call_time(monkeypatch):
+    # the grid size picks the product: the dense matrix is built once at
+    # n = DENSE_CUTOFF and never at n = DENSE_CUTOFF + 1
+    g = make_grid("uniform", 300, 10.0)
+    table = build_kernel_table(g, build_coefficient_table(0))
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 1)
+    fock = fock_matrix(table, config, (None, 0), *mean_field(config, hydro))
+    built = []
+    matrix = FockMatrix.matrix.fget
+    monkeypatch.setattr(FockMatrix, "matrix", property(lambda f: built.append(f) or matrix(f)))
+    for cutoff, builds in ((300, 1), (299, 1)):
+        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
+        lowest_eigenpairs(fock, 1)
+        assert len(built) == builds
 
 
 def test_residual_bound_follows_each_vector(monkeypatch):
@@ -246,7 +266,8 @@ def test_inexact_solve_checks_its_loosened_target(monkeypatch):
     # which misses that target, still raises
     fock, count, start = _exponential_helium()
     for cutoff in (100, 1000):  # matrix-free and dense apply
-        assert lowest_eigenpairs(fock, count, cutoff, start=start, reduction=1e-2)
+        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
+        assert lowest_eigenpairs(fock, count, start=start, reduction=1e-2)
 
     def no_steps(fock, count, x0, tol, apply, floor):
         return np.sum(x0 * apply(x0), axis=0), x0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from radialhf import (
     solve,
     theorem_report,
 )
-from radialhf import scf
+from radialhf import operators, scf
 from radialhf.cli import load_config, main
 from radialhf.validate import HELIUM_ORACLE_ENERGY, HELIUM_ORACLE_LEVEL
 from util import eigh_pairs, random_orbital
@@ -352,7 +353,8 @@ def test_iterative_path_matches_dense_solve(config, monkeypatch):
     # scipy's dense solver
     grid = make_grid("exponential", 400, 30.0)
     dense = solve(config, grid)
-    iterative = solve(config, grid, options=ScfOptions(dense_cutoff=100))
+    monkeypatch.setattr(operators, "DENSE_CUTOFF", 100)
+    iterative = solve(config, grid)
     monkeypatch.setattr(
         scf, "lowest_eigenpairs", lambda fock, count, *_, **__: eigh_pairs(fock, count)
     )
@@ -429,6 +431,24 @@ def test_eigensolver_failure_is_reported_not_raised(monkeypatch, he_config):
     assert empty.norms.tolist() == [0.0]
 
 
+def test_solve_rejects_configuration_without_shells(he_grid):
+    with pytest.raises(ValueError, match="no shells"):
+        solve(Configuration(Z=1.0, model="rhf"), he_grid)
+
+
+def test_norms_follow_the_orbitals(he_state):
+    f = RadialFunction(he_state.grid, he_state.orbitals[0].values / np.sqrt(2.0))
+    assert dataclasses.replace(he_state, orbitals=(f,)).norms.tolist() == [f.norm()]
+
+
+def test_options_hold_only_settable_knobs():
+    names = [f.name for f in dataclasses.fields(ScfOptions)]
+    assert names == ["tol_energy", "tol_residual", "max_iter"]
+    assert ScfOptions().dense_cutoff == operators.DENSE_CUTOFF
+    with pytest.raises(TypeError):
+        ScfOptions(dense_cutoff=100)
+
+
 def test_solve_rejects_foreign_table(he_config, he_table):
     with pytest.raises(ValueError):
         solve(he_config, make_grid("uniform", 500, 10.0), he_table)
@@ -441,10 +461,10 @@ def test_solve_rejects_foreign_table(he_config, he_table):
 def test_bump_profile_shape(he_wide_grid):
     bump = make_bump(he_wide_grid, 10.0)
     r = he_wide_grid.points
-    vals = bump.profile.values
+    vals = bump.values
     assert np.all(vals[(r <= 10.0) | (r >= 20.0)] == 0.0)
     assert vals[(r > 10.5) & (r < 19.5)].min() > 0.0
-    assert bump.profile.norm() == pytest.approx(1.0, rel=1e-12)
+    assert bump.norm() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bump_requires_room(he_grid):
@@ -504,7 +524,7 @@ def test_probe_rejects_bad_shell_index(he_state, he_table):
 def test_first_order_vanishes_at_minimizer(he_state, he_grid, he_table):
     # the first variation along the orthogonalized bump is zero at a
     # converged minimizer (Euler-Lagrange; the bump is orthogonal to f)
-    h_vals = make_bump(he_grid, 5.0).profile.values.copy()
+    h_vals = make_bump(he_grid, 5.0).values.copy()
     f = he_state.orbitals[0]
     overlap = float(np.sum(he_grid.weights * f.values * h_vals)) / f.norm() ** 2
     h_vals -= overlap * f.values
