@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -217,66 +218,31 @@ def load_config(
 # Result documents
 
 
-def _shell_dicts(config: Configuration) -> list[dict]:
-    return [{"l": sh.l, "spin": sh.spin} for sh in config.shells]
-
-
 def state_to_document(state: ScfState, options: ScfOptions) -> dict:
     """JSON-ready result document (radial units, deterministic layout)."""
-    rep = theorem_report(state)
-    grid_doc: dict[str, Any] = {
-        "kind": state.grid.kind,
-        "n": state.grid.n,
-        "r_max": state.grid.r_max,
-    }
-    if state.grid.gamma is not None:
-        grid_doc["gamma"] = state.grid.gamma
+    theorem = dataclasses.asdict(theorem_report(state))
+    for key in ("model", "Z", "N"):  # the document states these once, at the top
+        del theorem[key]
+    grid = state.grid
+    grid_doc = {"kind": grid.kind, "n": grid.n, "r_max": grid.r_max, "gamma": grid.gamma}
     return {
         "model": state.config.model,
         "Z": state.config.Z,
-        "shells": _shell_dicts(state.config),
-        "grid": grid_doc,
-        "options": {
-            "tol_energy": options.tol_energy,
-            "tol_residual": options.tol_residual,
-            "max_iter": options.max_iter,
-        },
+        "shells": [dataclasses.asdict(sh) for sh in state.config.shells],
+        "grid": {k: v for k, v in grid_doc.items() if v is not None},  # no gamma if uniform
+        "options": dataclasses.asdict(options),
         "converged": state.converged,
         "iterations": state.iterations,
         "rejections": state.rejections,
         "message": state.message,
         "energy": state.energy,
-        "breakdown": {
-            "kinetic": state.breakdown.kinetic,
-            "attraction": state.breakdown.attraction,
-            "direct": state.breakdown.direct,
-            "exchange": state.breakdown.exchange,
-        },
+        "breakdown": dataclasses.asdict(state.breakdown),
         "eigenvalues": [float(x) for x in state.eigenvalues],
         "norms": [float(x) for x in state.norms],
         "residuals": [float(x) for x in state.residuals],
         "marginal": list(state.marginal),
         "energy_trace": [float(x) for x in state.energy_trace],
-        "theorem": {
-            "regime": rep.regime,
-            "clause_i": rep.clause_i,
-            "clause_ii": rep.clause_ii,
-            "clause_iii": rep.clause_iii,
-            "notes": list(rep.notes),
-            "shells": [
-                {
-                    "index": s.index,
-                    "l": s.l,
-                    "spin": s.spin,
-                    "eigenvalue": s.eigenvalue,
-                    "norm": s.norm,
-                    "marginal": s.marginal,
-                    "nonzero_guaranteed": s.nonzero_guaranteed,
-                    "full_norm_guaranteed": s.full_norm_guaranteed,
-                }
-                for s in rep.shells
-            ],
-        },
+        "theorem": theorem,
     }
 
 
@@ -315,6 +281,8 @@ def _read_orbitals_csv(path: Path, grid: RadialGrid, n_shells: int) -> list[Radi
     if any(len(row) != len(header) for row in rows):
         raise ConfigError(f"{path}: every row needs {len(header)} columns")
     data = np.array([[float(x) for x in row] for row in rows])
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}: the table holds a non-finite value")
     if not np.allclose(data[:, 0], grid.points, rtol=0, atol=1e-12):
         raise ConfigError(f"{path}: radii do not match the grid in the result document")
     return [RadialFunction(grid, data[:, 1 + i].copy()) for i in range(n_shells)]
@@ -325,7 +293,9 @@ def load_state(result_path: str | Path, csv_path: str | Path) -> ScfState:
 
     The configuration and grid are parsed from the result document with
     the same rules as a configuration file; the orbitals come from the
-    table.  Raises :class:`ConfigError` on any malformed or mismatched
+    table, and the rest of the stored fields from the document (the
+    derived ones, such as ``norms`` and ``converged``, are not read back).
+    Raises :class:`ConfigError` on any malformed or mismatched
     input (and ``OSError`` if the orbital table cannot be read).
     """
     path = Path(result_path)
@@ -340,14 +310,11 @@ def load_state(result_path: str | Path, csv_path: str | Path) -> ScfState:
             orbitals=tuple(orbitals),
             eigenvalues=np.array(raw["eigenvalues"], dtype=float),
             residuals=np.array(raw["residuals"], dtype=float),
-            marginal=tuple(bool(x) for x in raw["marginal"]),
             breakdown=EnergyBreakdown(
-                *(float(raw["breakdown"][k])
-                  for k in ("kinetic", "attraction", "direct", "exchange"))
+                *(float(raw["breakdown"][f.name]) for f in dataclasses.fields(EnergyBreakdown))
             ),
             energy_trace=tuple(float(x) for x in raw["energy_trace"]),
             iterations=int(raw["iterations"]),
-            converged=bool(raw["converged"]),
             message=str(raw["message"]),
             rejections=int(raw["rejections"]),
         )
@@ -398,13 +365,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"{config.model} Z={config.Z:g} shells={len(config.shells)}: {status} "
           f"in {state.iterations} iterations")
     print(f"energy = {scale * state.energy:.10f} {unit_name}")
-    for i in range(config.n_shells):
-        sh = config.shells[i]
+    for i, sh in enumerate(config.shells):  # the levels as the document holds them
         spin = f" {sh.spin}" if sh.spin else ""
-        flag = " (marginal)" if state.marginal[i] else ""
+        flag = " (marginal)" if doc["marginal"][i] else ""
         print(
-            f"  shell {i}: l={sh.l}{spin}  eps = {scale * state.eigenvalues[i]:+.8f}"
-            f"  norm = {state.norms[i]:.8f}  residual = {state.residuals[i]:.2e}{flag}"
+            f"  shell {i}: l={sh.l}{spin}  eps = {scale * doc['eigenvalues'][i]:+.8f}"
+            f"  norm = {doc['norms'][i]:.8f}  residual = {doc['residuals'][i]:.2e}{flag}"
         )
     rep = doc["theorem"]
     verdicts = ((name, rep[f"clause_{name}"]) for name in ("i", "ii", "iii"))
@@ -445,6 +411,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"input error: --radii expects comma-separated numbers, got {args.radii!r}",
               file=sys.stderr)
+        return 2
+    if not math.isfinite(args.lam):
+        print(f"input error: --lam must be a finite number, got {args.lam}", file=sys.stderr)
         return 2
     scale, unit_name = _unit_scale(args.units)
     try:

@@ -32,9 +32,13 @@ be 0 or 1, never fractional.  Within each ``(spin, l)`` channel the
 ``k`` lowest eigenfunctions are assigned to the ``k`` shells in input
 order; an eigenfunction whose eigenvalue is above ``+TOL_ZERO`` is
 replaced by the zero orbital (dropping the shell lowers the energy), and
-one within ``TOL_ZERO`` of zero is kept but flagged marginal, since at
-exactly zero the theory does not decide the norm.  Shells never migrate
-between channels.
+one within ``TOL_ZERO`` of zero is kept but marginal, since at exactly
+zero the theory does not decide the norm.  Shells never migrate between
+channels.  One rule, read by the residual check, the polish, the probe and
+the structural report, says which shells are occupied: those whose norm
+exceeds ``_NORM_TOL``.  A state stores what the solve decided; its
+``marginal`` (occupied with a level within ``TOL_ZERO`` of zero) and
+``converged`` (the message is ``"converged"``) are derived.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ MeanField = tuple[np.ndarray, dict[ChannelKey, Factors]]
 # occupation and the structural report judge by this one band.
 TOL_ZERO = 1e-8
 
+# A shell is occupied when its orbital's norm exceeds this; the structural
+# report also allows a full norm this much slack.
+_NORM_TOL = 1e-6
+
 # Points of the default grid.
 _DEFAULT_N = 2000
 
@@ -107,34 +115,52 @@ class ScfOptions:
         return operators.DENSE_CUTOFF
 
 
-@dataclass(frozen=True)
-class Occupation:
-    """Result of assigning channel eigenfunctions to shells."""
+class _Shells:
+    """What shell orbitals and their levels imply, derived on each read."""
 
     orbitals: tuple[RadialFunction, ...]
     eigenvalues: np.ndarray
-    marginal: tuple[bool, ...]
 
     @property
     def norms(self) -> np.ndarray:
         """Each shell's occupation: its orbital's norm."""
         return np.array([f.norm() for f in self.orbitals])
 
+    @property
+    def occupied(self) -> np.ndarray:
+        """The one occupation rule: a shell's norm exceeds ``_NORM_TOL``."""
+        return self.norms > _NORM_TOL
+
+    @property
+    def marginal(self) -> tuple[bool, ...]:
+        """Occupied shells whose level lies within ``TOL_ZERO`` of zero."""
+        return tuple(map(bool, self.occupied & (np.abs(self.eigenvalues) <= TOL_ZERO)))
+
+
+@dataclass(frozen=True)
+class Occupation(_Shells):
+    """Channel eigenfunctions assigned to shells; ``marginal`` derives from them."""
+
+    orbitals: tuple[RadialFunction, ...]
+    eigenvalues: np.ndarray
+
 
 @dataclass(eq=False)
-class ScfState:
-    """Converged (or final) state of the self-consistent iteration."""
+class ScfState(_Shells):
+    """Converged (or final) state of the self-consistent iteration.
+
+    The fields hold what the solve decided; ``norms``, ``occupied``,
+    ``marginal``, ``energy`` and ``converged`` are derived from them.
+    """
 
     config: Configuration
     grid: RadialGrid
     orbitals: tuple[RadialFunction, ...]
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    marginal: tuple[bool, ...]
     breakdown: EnergyBreakdown
     energy_trace: tuple[float, ...]
     iterations: int
-    converged: bool
     message: str
     rejections: int
 
@@ -143,9 +169,9 @@ class ScfState:
         return self.breakdown.total
 
     @property
-    def norms(self) -> np.ndarray:
-        """Each shell's occupation: its orbital's norm."""
-        return np.array([f.norm() for f in self.orbitals])
+    def converged(self) -> bool:
+        """Whether the solve ended with the message ``"converged"``."""
+        return self.message == "converged"
 
 
 def make_default_grid(config: Configuration) -> RadialGrid:
@@ -172,12 +198,11 @@ def occupy(
     matching eigenfunctions.  The ``k`` shells of a channel take the
     ``k`` lowest pairs in order; a pair with eigenvalue above
     ``+TOL_ZERO`` yields the zero orbital instead (norm 0), and one
-    within ``TOL_ZERO`` of zero is occupied but flagged marginal.
+    within ``TOL_ZERO`` of zero is occupied but marginal.
     """
     n_shells = config.n_shells
     orbitals: list[RadialFunction | None] = [None] * n_shells
     eigenvalues = np.zeros(n_shells)
-    marginal = [False] * n_shells
     for key, shell_idx in config.channels().items():
         if key not in channel_pairs:
             raise ValueError(f"missing eigenpairs for channel {key}")
@@ -187,19 +212,9 @@ def occupy(
                 f"channel {key}: need {len(shell_idx)} eigenpairs, got {len(eps)}"
             )
         for rank, i in enumerate(shell_idx):
-            e = float(eps[rank])
-            eigenvalues[i] = e
-            if e > TOL_ZERO:
-                orbitals[i] = _zero_function(funcs[rank].grid)
-            else:
-                orbitals[i] = funcs[rank]
-                if abs(e) <= TOL_ZERO:
-                    marginal[i] = True
-    return Occupation(
-        orbitals=tuple(orbitals),  # type: ignore[arg-type]
-        eigenvalues=eigenvalues,
-        marginal=tuple(marginal),
-    )
+            eigenvalues[i] = e = float(eps[rank])
+            orbitals[i] = _zero_function(funcs[rank].grid) if e > TOL_ZERO else funcs[rank]
+    return Occupation(tuple(orbitals), eigenvalues)  # type: ignore[arg-type]
 
 
 # Each eigensolve inside the loop stops once every wanted residual is this
@@ -299,11 +314,12 @@ def _mix(field: MeanField, target: MeanField, alpha: float) -> MeanField:
 
 def _residuals(table: KernelTable, config: Configuration, point: _Point) -> np.ndarray:
     """Per-shell ``|H f - e f|`` against the point's own mean field."""
-    orbitals, eigenvalues = point.occupation.orbitals, point.occupation.eigenvalues
+    occ = point.occupation
+    orbitals, eigenvalues, is_occupied = occ.orbitals, occ.eigenvalues, occ.occupied
     sq = np.sqrt(table.grid.weights)
     res = np.zeros(config.n_shells)
     for key, shell_idx in config.channels().items():
-        occupied = [i for i in shell_idx if orbitals[i].norm() > 0.5]
+        occupied = [i for i in shell_idx if is_occupied[i]]
         if not occupied:
             continue
         u = np.column_stack([sq * np.real(orbitals[i].values) for i in occupied])
@@ -314,10 +330,10 @@ def _residuals(table: KernelTable, config: Configuration, point: _Point) -> np.n
 
 def _polish_failure(config: Configuration, point: _Point, polished: _Point) -> str:
     """Why the polish shows that a converged ``point`` is no fixed point, or ""."""
-    before, after = point.occupation.norms, polished.occupation.norms
+    before, after = point.occupation.occupied, polished.occupation.occupied
     for i, sh in enumerate(config.shells):
-        if (before[i] > 0.0) != (after[i] > 0.0):
-            verb = "drops" if before[i] > 0.0 else "occupies"
+        if before[i] != after[i]:
+            verb = "drops" if before[i] else "occupies"
             return f"not self-consistent: the polish {verb} shell {i} (l={sh.l})"
     rise = polished.energy - point.energy
     if rise > _ACCEPT_SLACK * (1.0 + abs(point.energy)):
@@ -333,9 +349,9 @@ def solve(
 ) -> ScfState:
     """Run the damped self-consistent iteration for a configuration.
 
-    Returns the final state whether or not it converged; ``converged``
-    and ``message`` report the outcome, never an exception, so callers
-    can inspect a stalled state.  An eigensolver failure ends the
+    Returns the final state whether or not it converged; ``message``
+    reports the outcome (``converged`` reads it), never an exception, so
+    callers can inspect a stalled state.  An eigensolver failure ends the
     iteration with the last accepted state and the message
     ``eigensolver failed: <detail>``.
     """
@@ -350,7 +366,6 @@ def solve(
         raise ValueError("kernel table was built for a different grid")
 
     rejections = iterations = 0
-    converged = False
     message = ""
     trace: list[float] = []
     empty_field = (np.zeros(grid.n), {})
@@ -374,7 +389,7 @@ def solve(
                 streak += 1
                 if abs(energy - point.energy) <= options.tol_energy * (1.0 + abs(point.energy)):
                     if _residuals(table, config, point).max(initial=0.0) <= options.tol_residual:
-                        converged = True
+                        message = "converged"
                         break
             else:
                 rejections += 1
@@ -393,24 +408,21 @@ def solve(
         else:
             message = f"did not converge in {options.max_iter} iterations"
 
-        if converged:
+        if message == "converged":
             # Undamped polish: make the occupied orbitals eigenfunctions of
             # the Fock matrices built from the converged state itself.
             polished = _evaluate(table, config, point.field, options, point, None)
-            message = _polish_failure(config, point, polished) or "converged"
-            converged = message == "converged"
-            if converged:
+            message = _polish_failure(config, point, polished) or message
+            if message == "converged":
                 point = polished
                 trace.append(point.energy)
     except EigensolverError as exc:
         # Report the last accepted point; before the start is evaluated
         # that is the empty state.
-        converged = False
         message = f"eigensolver failed: {exc}"
         if point is None:
             empty = tuple(_zero_function(grid) for _ in config.shells)
-            n = config.n_shells
-            occ = Occupation(empty, np.zeros(n), (False,) * n)
+            occ = Occupation(empty, np.zeros(config.n_shells))
             point = _Point({}, occ, total_energy(config, empty, table), empty_field)
             trace.append(point.energy)
 
@@ -421,11 +433,9 @@ def solve(
         orbitals=occ.orbitals,
         eigenvalues=occ.eigenvalues,
         residuals=_residuals(table, config, point),
-        marginal=occ.marginal,
         breakdown=point.breakdown,
         energy_trace=tuple(trace),
         iterations=iterations,
-        converged=converged,
         message=message,
         rejections=rejections,
     )
@@ -509,11 +519,8 @@ def probe_shell(
     if table is None:
         table = build_kernel_table(state.grid, build_coefficient_table(config.max_l))
     key = (config.shells[i].spin, config.shells[i].l)
-    channel_orbitals = [
-        state.orbitals[j]
-        for j in config.channels()[key]
-        if state.orbitals[j].norm() > 1e-12
-    ]
+    occupied = state.occupied
+    channel_orbitals = [state.orbitals[j] for j in config.channels()[key] if occupied[j]]
     results = []
     for R in R_values:
         h_vals = make_bump(state.grid, R).values.copy()
@@ -581,16 +588,15 @@ class TheoremReport:
         return all(c is not False for c in (self.clause_i, self.clause_ii, self.clause_iii))
 
 
-# The norm slack of the structural report and the energy slack of the
-# corollary's inequalities.
-_NORM_TOL = 1e-6
+# The energy slack of the corollary's inequalities.
 _COROLLARY_TOL = 1e-9
 
 
 def theorem_report(state: ScfState) -> TheoremReport:
     """Check the structural guarantees on a state (reports, never raises)."""
     config = state.config
-    norms = state.norms
+    norms, occupied, marginal = state.norms, state.occupied, state.marginal
+    full = np.abs(norms - 1.0) <= _NORM_TOL
     N = config.electron_count
     Z = config.Z
     if Z - (N - 1) > 1e-9:
@@ -607,7 +613,6 @@ def theorem_report(state: ScfState) -> TheoremReport:
     for i, sh in enumerate(config.shells):
         eps = float(state.eigenvalues[i])
         nrm = float(norms[i])
-        occupied = nrm > _NORM_TOL
         hypothesis = Z > N - config.spin_factor * (2 * sh.l + 1)
         full_norm_hyp = Z >= N - 1 - 1e-9 and (config.model == "rhf" or sh.l != 0)
         shells.append(
@@ -617,35 +622,31 @@ def theorem_report(state: ScfState) -> TheoremReport:
                 spin=sh.spin,
                 eigenvalue=eps,
                 norm=nrm,
-                marginal=state.marginal[i],
+                marginal=marginal[i],
                 nonzero_guaranteed=hypothesis,
                 full_norm_guaranteed=full_norm_hyp,
             )
         )
         # (i): occupied => eps <= 0 (within tol); eps < 0 => full norm.
-        if occupied and eps > TOL_ZERO:
+        if occupied[i] and eps > TOL_ZERO:
             clause_i = False
             notes.append(f"shell {i}: occupied with positive eigenvalue {eps:.3e}")
-        if eps < -TOL_ZERO and occupied and abs(nrm - 1.0) > _NORM_TOL:
+        if eps < -TOL_ZERO and occupied[i] and not full[i]:
             clause_i = False
             notes.append(f"shell {i}: negative eigenvalue but norm {nrm:.8f}")
         if hypothesis:
-            ii_applicable.append(occupied)
-            if not occupied:
+            ii_applicable.append(occupied[i])
+            if not occupied[i]:
                 notes.append(f"shell {i}: guaranteed non-empty but norm {nrm:.3e}")
         if full_norm_hyp:
-            ok = abs(nrm - 1.0) <= _NORM_TOL
-            ii_applicable.append(ok)
-            if not ok:
+            ii_applicable.append(full[i])
+            if not full[i]:
                 notes.append(f"shell {i}: guaranteed full norm but norm {nrm:.8f}")
 
     clause_ii = all(ii_applicable) if ii_applicable else None
     clause_iii = None
     if regime == "Z > N-1":
-        clause_iii = all(
-            float(state.eigenvalues[i]) < 0 and abs(float(norms[i]) - 1.0) <= _NORM_TOL
-            for i in range(config.n_shells)
-        )
+        clause_iii = bool(np.all((state.eigenvalues < 0) & full))
         if not clause_iii:
             notes.append("positive-ion regime but not all shells bound and full")
     return TheoremReport(

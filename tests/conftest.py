@@ -132,11 +132,9 @@ def depleted_state(he_config, he_wide_grid, he_wide_table):
         orbitals=(f,),
         eigenvalues=np.array([float(eps[0])]),
         residuals=np.zeros(1),
-        marginal=(False,),
         breakdown=total_energy(he_config, [f], he_wide_table),
         energy_trace=(0.0,),
         iterations=0,
-        converged=True,
         message="depleted fixture",
         rejections=0,
     )

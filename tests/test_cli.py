@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from radialhf import EigensolverError, ScfOptions, kernels, scf, validate
-from radialhf.cli import ConfigError, load_config, main
+from radialhf.cli import ConfigError, load_config, load_state, main, state_to_document
 
 HELIUM = {
     "Z": 2,
@@ -369,6 +369,21 @@ def test_eigensolver_failure_exits_1_with_diagnostics(tmp_path, capsys, monkeypa
     assert (tmp_path / "broken.orbitals.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [HELIUM, dict(NEON, grid={"kind": "exponential", "n": 300, "r_max": 20.0}, scf={"max_iter": 3})],
+    ids=["converged", "unconverged-exponential"],
+)
+def test_load_state_reproduces_the_written_document(tmp_path, doc):
+    path = write_config(tmp_path, doc)
+    main(["solve", str(path)])
+    result = tmp_path / "config.result.json"
+    state = load_state(result, tmp_path / "config.orbitals.csv")
+    _, _, options, _ = load_config(path)
+    written = json.dumps(state_to_document(state, options), sort_keys=True, indent=2) + "\n"
+    assert written == result.read_text()
+
+
 def test_cli_byte_determinism(tmp_path):
     path = write_config(tmp_path, HELIUM)
     cmd = [sys.executable, "-m", "radialhf.cli", "solve", str(path)]
@@ -410,16 +425,24 @@ def test_probe_reports_nonnegative_curvature_at_minimizer(solved_wide, capsys):
     assert all(v >= -1e-6 for v in values)
 
 
-def test_probe_rejects_bad_inputs(solved_wide, capsys):
+def test_probe_rejects_bad_inputs(solved_wide, tmp_path, capsys):
     result, orbitals = solved_wide
-    assert main(["probe", str(result), str(orbitals),
-                 "--shell", "5", "--radii", "5"]) == 2
-    assert main(["probe", str(result), str(orbitals),
-                 "--shell", "0", "--radii", "nope"]) == 2
-    assert main(["probe", str(result), str(orbitals),
-                 "--shell", "0", "--radii", "40"]) == 2  # 2R exceeds the box
-    err = capsys.readouterr().err
-    assert "input error" in err
+    rows = orbitals.read_text().splitlines()
+    r, _, density = rows[100].split(",")
+    rows[100] = f"{r},nan,{density}"
+    nan_table = tmp_path / "nan.csv"
+    nan_table.write_text("\n".join(rows) + "\n")
+    cases = [
+        (orbitals, "--shell", "5", "--radii", "5"),
+        (orbitals, "--shell", "0", "--radii", "nope"),
+        (orbitals, "--shell", "0", "--radii", "40"),  # 2R exceeds the box
+        (orbitals, "--shell", "0", "--radii", "5", "--lam", "nan"),
+        (orbitals, "--shell", "0", "--radii", "5", "--lam", "inf"),
+        (nan_table, "--shell", "0", "--radii", "5"),
+    ]
+    for table, *flags in cases:
+        assert main(["probe", str(result), str(table), *flags]) == 2, flags
+        assert "input error" in capsys.readouterr().err, flags
 
 
 def test_probe_rejects_mismatched_files(solved_wide, tmp_path, capsys):

@@ -14,6 +14,7 @@ from radialhf import (
     EigensolverError,
     RadialFunction,
     ScfOptions,
+    ScfState,
     ShellSpec,
     build_coefficient_table,
     build_kernel_table,
@@ -31,6 +32,7 @@ from radialhf import (
     probe_shell,
     solve,
     theorem_report,
+    total_energy,
 )
 from radialhf import operators, scf
 from radialhf.cli import load_config, main
@@ -439,6 +441,25 @@ def test_solve_rejects_configuration_without_shells(he_grid):
 def test_norms_follow_the_orbitals(he_state):
     f = RadialFunction(he_state.grid, he_state.orbitals[0].values / np.sqrt(2.0))
     assert dataclasses.replace(he_state, orbitals=(f,)).norms.tolist() == [f.norm()]
+
+
+def test_flags_derive_from_the_stored_fields(he_state):
+    assert {"marginal", "converged"}.isdisjoint(f.name for f in dataclasses.fields(ScfState))
+    assert [f.name for f in dataclasses.fields(scf.Occupation)] == ["orbitals", "eigenvalues"]
+    stalled = dataclasses.replace(he_state, message="stalled: damping floor reached")
+    assert stalled.converged is False
+    assert dataclasses.replace(he_state, eigenvalues=np.array([0.0])).marginal == (True,)
+
+
+def test_residuals_read_the_one_occupation_rule(grid400, table400):
+    # a shell at norm 0.3 is occupied, so its Fock-equation residual counts
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    eps, funcs = lowest_eigenpairs(hydrogenic_matrix(grid400, 0, 2.0), 1)
+    f = RadialFunction(grid400, 0.3 * funcs[0].values)
+    occ = scf.Occupation((f,), eps)
+    point = scf._Point({}, occ, total_energy(config, [f], table400), mean_field(config, [f]))
+    assert occ.occupied.tolist() == [True]
+    assert scf._residuals(table400, config, point)[0] > 1e-3
 
 
 def test_options_hold_only_settable_knobs():
