@@ -22,11 +22,15 @@ exchange runs over same-spin shells only).
 
 A :class:`FockMatrix` never stores ``B``: it keeps the tridiagonal local
 part and the exchange factors, and :meth:`FockMatrix.apply` multiplies
-by ``B`` in O(n) per factor column through the semiseparable kernel
-apply of :mod:`radialhf.kernels`.  :func:`lowest_eigenpairs` runs one
-preconditioned LOBPCG for every operator with exchange; the grid size
-only selects how it applies ``B``: as one product with the dense matrix
-up to ``DENSE_CUTOFF`` points, through ``apply`` above it.  A solve is
+by ``B`` in O(n) per factor column and multipole order through the
+semiseparable kernel apply of :mod:`radialhf.kernels`.
+:func:`lowest_eigenpairs` runs one preconditioned LOBPCG for every
+operator with exchange; the operator's cost picks how it applies ``B``.
+Each column of a matrix-free product makes :attr:`FockMatrix.passes`
+multipole passes of O(n) each, against O(n) per column for the dense
+matrix once its O(n^2) build is paid, so ``apply`` serves the operators
+with ``_CROSSOVER * passes <= n`` and the others are built densely, but
+never above ``DENSE_CUTOFF`` points, the memory cap.  A solve is
 strict by default: each pair converges to the rounding scale of the
 product with the tridiagonal part.  Given a warm start and a
 ``reduction``, it is inexact: each pair may stop once its residual has
@@ -58,12 +62,22 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-# Above this grid size LOBPCG applies the matrix-free operator instead
-# of the dense matrix.  Each side wins somewhere: on 2 cores with one BLAS
-# thread, the N = 10 ions at Z = 8..12 (exponential n = 600) took
-# 2.30-2.37 s dense against 2.68-2.87 s matrix-free, and Li, Be and the
-# Z = 3 ion in UHF (n = 600) 0.88-1.01 s against 0.73-0.88 s.
+# The largest grid on which an eigensolve may build the dense matrix: one
+# n x n array per kernel pair it reads, 50 MB each at n = 2500.  Above
+# it every product is matrix-free and memory grows as O(n).
 DENSE_CUTOFF = 2500
+
+# LOBPCG applies an operator matrix-free when this times its multipole
+# passes per column is at most n, else as one dense matrix built per call.
+# Each of 142 eigensolves with exchange, taken from the SCF solves of He,
+# Be and Ne (exponential n = 800), Ar and the N = 10 ion at Z = 10
+# (exponential n = 600), Li and the spinless Z = 3 ion in UHF (exponential
+# n = 600), He (uniform n = 2000) and Ne (uniform n = 1000), was timed
+# both ways (best of 3, one BLAS thread, 2 cores).  Matrix-free took
+# 1.65x, 1.27x and 1.17x the dense time where n / passes fell in (20, 40],
+# (40, 50] and (50, 60], and 0.86x, 0.79x, 0.74x, 0.49x and 0.25x in
+# (60, 70], (70, 85], (85, 150], (150, 300] and above 300.
+_CROSSOVER = 60
 
 # A returned pair's residual must be below this fraction of ||T| |x||,
 # the rounding scale that LOBPCG targets at _LOBPCG_FACTOR.
@@ -164,6 +178,15 @@ class FockMatrix:
         for lp, V, c in self.exchange:
             y = y - exchange_apply(self.table, self.l, lp, V, c, block)
         return y.reshape(x.shape)
+
+    @property
+    def passes(self) -> int:
+        """Multipole passes of :meth:`apply` per column: each exchange term's
+        rank times its number of multipole orders."""
+        return sum(
+            V.shape[1] * len(self.table.coeffs.k_range(self.l, lp))
+            for lp, V, _ in self.exchange
+        )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -393,10 +416,11 @@ def lowest_eigenpairs(
     its vector's Rayleigh quotient.  Otherwise LOBPCG (Knyazev,
     SIAM J. Sci. Comput. 23, 517, 2001) computes the
     pairs, preconditioned by the tridiagonal part shifted just below its
-    lowest eigenvalue and solved in O(n).  The grid size selects how
-    it applies ``B``: up to ``DENSE_CUTOFF`` points as one product with
-    :attr:`FockMatrix.matrix`, built once per call, above it through
-    :meth:`FockMatrix.apply` alone.  LOBPCG starts from ``start``
+    lowest eigenvalue and solved in O(n).  The operator's cost selects
+    how it applies ``B``: through :meth:`FockMatrix.apply` alone when
+    ``_CROSSOVER`` times its :attr:`~FockMatrix.passes` is at most ``n``,
+    else as one product with :attr:`FockMatrix.matrix`, built once per
+    call, but never above ``DENSE_CUTOFF`` points.  LOBPCG starts from ``start``
     (``count`` functions, such as the previous iteration's
     eigenfunctions) or else from the tridiagonal part's lowest
     eigenvectors, and stops once each residual is at the rounding scale
@@ -432,7 +456,8 @@ def lowest_eigenpairs(
         eps = np.sum(vecs * fock.apply(vecs), axis=0)
     else:
         x0 = None if start is None else np.column_stack([sq * f.values for f in start])
-        apply = fock.matrix.__matmul__ if n <= DENSE_CUTOFF else fock.apply
+        dense = n <= DENSE_CUTOFF and _CROSSOVER * fock.passes > n
+        apply = fock.matrix.__matmul__ if dense else fock.apply
         if reduction is not None and x0 is not None:
             norms = np.linalg.norm(x0, axis=0)
             u = x0 / np.where(norms > 0.0, norms, 1.0)  # a zero vector: floor 0

@@ -313,12 +313,14 @@ def test_solve_exit_2_on_kernel_overflow(tmp_path, capsys):
 
 def test_solve_exit_2_on_kernel_budget(tmp_path, capsys, monkeypatch):
     # the first dense kernel access charges the whole table against the
-    # budget; over it the solve is refused as a grid error, not a traceback
+    # budget; over it the solve is refused as a grid error, not a traceback.
+    # Neon's mixed exchange factors soon cost more passes than n = 400 allows
+    # the matrix-free apply, so its eigensolves reach the dense product
     monkeypatch.setattr(kernels, "MAX_TABLE_BYTES", 10_000)
-    path = write_config(tmp_path, HELIUM)
+    path = write_config(tmp_path, NEON)
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: grid: kernel table for n = 700, max_l = 0")
+    assert err.startswith("config error: grid: kernel table for n = 400, max_l = 1")
     assert "over the budget of 10000 bytes" in err
 
 

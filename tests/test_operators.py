@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,7 @@ def test_iterative_solver_matches_dense(monkeypatch):
     iterative = lowest_eigenpairs(fock, 2)  # above the dense cutoff
     warm = lowest_eigenpairs(fock, 2, start=hydro)
     monkeypatch.setattr(operators, "DENSE_CUTOFF", 4000)
+    monkeypatch.setattr(operators, "_CROSSOVER", 4000)
     dense = lowest_eigenpairs(fock, 2)
     for pairs in (iterative, warm):
         _assert_pairs_match(pairs, dense)
@@ -161,9 +163,10 @@ def _anion_with_unbound_top_level():
     [(_exponential_helium, False), (_anion_with_unbound_top_level, True)],
     ids=["exponential-helium", "unbound-top-level"],
 )
-def test_dense_apply_matches_eigh(case, top_unbound):
-    # at or below the cutoff LOBPCG runs on the dense matrix; cold and
-    # warm starts agree with each other and with scipy's dense solver
+def test_dense_apply_matches_eigh(case, top_unbound, monkeypatch):
+    # past the crossover LOBPCG runs on the dense matrix; cold and warm
+    # starts agree with each other and with scipy's dense solver
+    monkeypatch.setattr(operators, "_CROSSOVER", 1000)
     fock, count, start = case()
     reference = eigh_pairs(fock, count)
     if top_unbound:
@@ -189,8 +192,8 @@ def test_deep_local_part_solves(monkeypatch):
     lam, vecs = np.linalg.eigh(fock.matrix)
     sq = np.sqrt(g.weights)
     reference = lam[:1], [RadialFunction(g, vecs[:, 0] / sq)]
-    for cutoff in (100, 1000):  # matrix-free and dense apply
-        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
+    for crossover in (1, 1000):  # matrix-free and dense apply
+        monkeypatch.setattr(operators, "_CROSSOVER", crossover)
         _assert_pairs_match(lowest_eigenpairs(fock, 1), reference)
 
 
@@ -209,27 +212,37 @@ def test_failed_preconditioner_raises(monkeypatch):
         grid=g, l=0, diag=diag, off=off, table=table,
         exchange=((0, v[:, None], np.ones(1)),),
     )
-    for cutoff in (100, 1000):
-        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
+    for crossover in (1, 1000):
+        monkeypatch.setattr(operators, "_CROSSOVER", crossover)
         with pytest.raises(EigensolverError, match="not below the spectrum"):
             lowest_eigenpairs(fock, 1)
 
 
 def test_dense_cutoff_is_read_at_call_time(monkeypatch):
-    # the grid size picks the product: the dense matrix is built once at
-    # n = DENSE_CUTOFF and never at n = DENSE_CUTOFF + 1
+    # the operator's multipole passes pick the product: helium's rank-1
+    # operator at n = 300 stays matrix-free, the same operator split into
+    # one more factor column than n / _CROSSOVER builds the dense matrix
+    # once, and above DENSE_CUTOFF no operator builds it
     g = make_grid("uniform", 300, 10.0)
     table = build_kernel_table(g, build_coefficient_table(0))
     config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
     _, hydro = lowest_eigenpairs(hydrogenic_matrix(g, 0, 2.0), 1)
     fock = fock_matrix(table, config, (None, 0), *mean_field(config, hydro))
+    (_, V, c), = fock.exchange
+    split = g.n // operators._CROSSOVER + 1
+    heavy = dataclasses.replace(
+        fock, exchange=((0, np.tile(V, split), np.repeat(c / split, split)),)
+    )
+    assert (fock.passes, heavy.passes) == (1, split)
     built = []
     matrix = FockMatrix.matrix.fget
     monkeypatch.setattr(FockMatrix, "matrix", property(lambda f: built.append(f) or matrix(f)))
-    for cutoff, builds in ((300, 1), (299, 1)):
+    levels = []
+    for op, cutoff, builds in ((fock, 300, 0), (heavy, 300, 1), (heavy, 299, 1)):
         monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
-        lowest_eigenpairs(fock, 1)
+        levels.append(lowest_eigenpairs(op, 1)[0][0])
         assert len(built) == builds
+    assert levels == pytest.approx([levels[0]] * 3, abs=1e-12)
 
 
 def test_residual_bound_follows_each_vector(monkeypatch):
@@ -265,8 +278,8 @@ def test_inexact_solve_checks_its_loosened_target(monkeypatch):
     # vector's, and its check allows that much; a pair left at the start,
     # which misses that target, still raises
     fock, count, start = _exponential_helium()
-    for cutoff in (100, 1000):  # matrix-free and dense apply
-        monkeypatch.setattr(operators, "DENSE_CUTOFF", cutoff)
+    for crossover in (1, 1000):  # matrix-free and dense apply
+        monkeypatch.setattr(operators, "_CROSSOVER", crossover)
         assert lowest_eigenpairs(fock, count, start=start, reduction=1e-2)
 
     def no_steps(fock, count, x0, tol, apply, floor):

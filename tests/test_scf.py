@@ -113,6 +113,22 @@ def test_residuals_are_own_fock_equation_residuals(fixture, request):
         np.testing.assert_allclose(state.residuals[shell_idx], expected, rtol=1e-12, atol=0)
 
 
+def test_residuals_belong_to_the_returned_orbitals(monkeypatch):
+    # the convergence check reads the accepted point, but the state stores
+    # the residuals of the polished orbitals it returns, which
+    # test_residuals_are_own_fock_equation_residuals recomputes
+    checked = []
+    real = scf._residuals
+    monkeypatch.setattr(scf, "_residuals", lambda *args: checked.append(real(*args)) or checked[-1])
+    config = Configuration(Z=2.0, model="rhf", shells=(ShellSpec(0),))
+    state = solve(config, make_grid("exponential", 200, 20.0))
+    assert state.converged
+    accepted, stored = checked[-2:]
+    assert accepted.max() <= ScfOptions().tol_residual
+    np.testing.assert_array_equal(stored, state.residuals)
+    assert accepted[0] != stored[0]
+
+
 # ---------------------------------------------------------------------------
 # Multi-shell structure: neon and the anion scenarios
 
@@ -333,6 +349,29 @@ def test_factored_mix_equals_dense_mix(table400):
             assert np.max(np.abs(gamma - expected[key])) <= 1e-13 * np.max(np.abs(expected[key]))
 
 
+def test_in_loop_operators_drop_light_directions(table400, monkeypatch):
+    # with a reduction (an in-loop solve) the eigensolver's operator leaves
+    # out the directions below _LIGHT_CUTOFF of the channel's heaviest;
+    # without one (the start and the polish) it keeps the whole field
+    g = table400.grid
+    rng = np.random.default_rng(67)
+    config = Configuration(Z=4.0, model="rhf", shells=(ShellSpec(0), ShellSpec(0)))
+    V, _ = np.linalg.qr(
+        np.column_stack([np.sqrt(g.weights) * random_orbital(rng, g, 0).values for _ in range(3)])
+    )
+    c = np.array([2.0, 2e-3, 1e-8])
+    rho = np.sum(c * np.abs(V) ** 2, axis=1) / g.weights
+    seen = []
+    real = scf.lowest_eigenpairs
+    monkeypatch.setattr(scf, "lowest_eigenpairs", lambda fock, *a, **k: seen.append(fock) or real(fock, *a, **k))
+    for reduction, kept in ((None, 3), (scf._INEXACT_REDUCTION, 2)):
+        scf._evaluate(table400, config, (rho, {(None, 0): (V, c)}), ScfOptions(), None, reduction)
+        (lp, V_op, c_op), = seen.pop().exchange
+        assert lp == 0
+        np.testing.assert_array_equal(V_op, V[:, :kept])
+        np.testing.assert_array_equal(c_op, c[:kept])
+
+
 # Neon in RHF and lithium in UHF: exchange in one or two spin channels.
 _NEON_AND_LITHIUM = pytest.mark.parametrize(
     "config",
@@ -350,12 +389,13 @@ _NEON_AND_LITHIUM = pytest.mark.parametrize(
 
 @_NEON_AND_LITHIUM
 def test_iterative_path_matches_dense_solve(config, monkeypatch):
-    # the cutoff lowered below n sends every eigensolve with exchange to the
-    # matrix-free apply; both paths match a solve whose every eigensolve is
-    # scipy's dense solver
+    # a crossover above every operator's cost sends every eigensolve with
+    # exchange to the dense product, and one of 0 to the matrix-free apply;
+    # both paths match a solve whose every eigensolve is scipy's dense solver
     grid = make_grid("exponential", 400, 30.0)
+    monkeypatch.setattr(operators, "_CROSSOVER", 1000)
     dense = solve(config, grid)
-    monkeypatch.setattr(operators, "DENSE_CUTOFF", 100)
+    monkeypatch.setattr(operators, "_CROSSOVER", 0)
     iterative = solve(config, grid)
     monkeypatch.setattr(
         scf, "lowest_eigenpairs", lambda fock, count, *_, **__: eigh_pairs(fock, count)
